@@ -16,14 +16,17 @@ import (
 // streams, assign through a snapshot-bound strategy with the trial's
 // assignment stream, and Advance the snapshot at every chunk barrier —
 // the exact sequence the daemon's mutator and decision contexts execute
-// between them. Returns the replayed Result scalars (DeadLoad excluded:
-// the served mutation path does not account stranded load).
+// between them. Loads are compared through s.WrapLoads, the capacity-
+// weighted view under a skewed profile, as the daemon's contexts do.
+// Returns the replayed Result scalars (DeadLoad excluded: the served
+// mutation path does not account stranded load).
 func replayTrial(t *testing.T, w *World, trial uint64) Result {
 	t.Helper()
 	s := w.Snapshot(trial)
 	strat := s.NewStrategy()
 	pop := s.FileSampler()
 	loads := ballsbins.NewLoads(w.N())
+	view := s.WrapLoads(loads)
 	originRNG, fileRNG := w.RequestStream(trial)
 	s1, s2 := w.AssignSeed(trial)
 	assignRNG := rand.New(rand.NewPCG(s1, s2))
@@ -38,7 +41,7 @@ func replayTrial(t *testing.T, w *World, trial uint64) Result {
 		c := min(chunk, nReq-base)
 		dist.RequestBatch(originRNG, fileRNG, w.N(), pop, origins[:c], files[:c])
 		for i := 0; i < c; i++ {
-			a := strat.Assign(core.Request{Origin: origins[i], File: files[i]}, loads, assignRNG)
+			a := strat.Assign(core.Request{Origin: origins[i], File: files[i]}, view, assignRNG)
 			loads.Add(int(a.Server))
 			hops += float64(a.Hops)
 			if a.Escalated {
@@ -64,12 +67,15 @@ func replayTrial(t *testing.T, w *World, trial uint64) Result {
 	res.ChurnEvents, res.ChurnSkipped = info.ChurnEvents, info.ChurnSkipped
 	res.FaultEvents, res.RecoverEvents = info.FaultEvents, info.RecoverEvents
 	res.FaultSkipped, res.DeadNodes = info.FaultSkipped, info.DeadNodes
+	res.ArrivalEvents, res.ArrivalSkipped, res.Vacant = info.ArrivalEvents, info.ArrivalSkipped, info.Vacant
 	return res
 }
 
 // snapshotReplayConfigs spans the regimes the served mode must
 // reproduce: quiesced, both churn modes, both fault modes, a combined
-// storm, the tile index on and off, and the conditioned miss stream.
+// storm, the tile index on and off, the conditioned miss stream, and
+// both heterogeneity regimes (a skewed capacity profile, and node
+// arrivals under churn and faults).
 func snapshotReplayConfigs() map[string]Config {
 	base := Config{
 		Side: 12, K: 100, M: 3, Requests: 600, Seed: 99,
@@ -124,6 +130,25 @@ func snapshotReplayConfigs() map[string]Config {
 	c.MissPolicy = MissResample
 	cfgs["miss-resample"] = c
 
+	c = base
+	c.Index = IndexTiles
+	c.Hetero = HeteroCapacity
+	c.Profile = ProfilePowerLaw
+	cfgs["hetero-capacity"] = c
+
+	c = base
+	c.Index = IndexTiles
+	c.MissPolicy = MissEscalate
+	c.Hetero = HeteroArrival
+	c.Profile = ProfileTwoTier
+	c.ArrivalRate = 0.02
+	c.Churn = ChurnReplicas
+	c.ChurnRate = 0.05
+	c.Faults = FaultsCrash
+	c.FaultRate = 0.01
+	c.RecoverRate = 0.005
+	cfgs["hetero-arrival"] = c
+
 	return cfgs
 }
 
@@ -141,6 +166,9 @@ func TestSnapshotReplayMatchesTrial(t *testing.T) {
 			for trial := uint64(0); trial < 3; trial++ {
 				want := w.RunTrial(trial)
 				got := replayTrial(t, w, trial)
+				if cfg.Hetero == HeteroArrival && want.ArrivalEvents == 0 {
+					t.Fatalf("trial %d: no arrivals to replay", trial)
+				}
 				if got.MaxLoad != want.MaxLoad || got.MeanCost != want.MeanCost ||
 					got.Escalated != want.Escalated || got.Backhaul != want.Backhaul ||
 					got.Retried != want.Retried || got.Uncached != want.Uncached {
@@ -148,7 +176,9 @@ func TestSnapshotReplayMatchesTrial(t *testing.T) {
 				}
 				if got.ChurnEvents != want.ChurnEvents || got.ChurnSkipped != want.ChurnSkipped ||
 					got.FaultEvents != want.FaultEvents || got.RecoverEvents != want.RecoverEvents ||
-					got.FaultSkipped != want.FaultSkipped || got.DeadNodes != want.DeadNodes {
+					got.FaultSkipped != want.FaultSkipped || got.DeadNodes != want.DeadNodes ||
+					got.ArrivalEvents != want.ArrivalEvents || got.ArrivalSkipped != want.ArrivalSkipped ||
+					got.Vacant != want.Vacant {
 					t.Errorf("trial %d: replay events %+v, want %+v", trial, got, want)
 				}
 			}
