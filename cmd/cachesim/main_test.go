@@ -1,6 +1,7 @@
 package main
 
 import (
+	"math"
 	"testing"
 
 	"repro"
@@ -55,6 +56,34 @@ func TestBuildConfigPopularityAndMiss(t *testing.T) {
 	for _, miss := range []string{"resample", "escalate"} {
 		if _, err := buildConfig(10, "torus", 50, 2, 0, "nearest", -1, 2, 0, miss, "scalar", "interleaved", "none", "none", 0, "none", 0, 0, "none", "uniform", 0, 0, "deterministic", 0, 1); err != nil {
 			t.Errorf("miss %s rejected: %v", miss, err)
+		}
+	}
+}
+
+// TestBuildConfigGamma checks that every non-zero -gamma selects Zipf,
+// so a negative or non-finite exponent fails when the world compiles
+// instead of silently meaning uniform popularity.
+func TestBuildConfigGamma(t *testing.T) {
+	for _, tc := range []struct {
+		gamma float64
+		zipf  bool
+		ok    bool
+	}{
+		{0, false, true},
+		{0.8, true, true},
+		{-1, true, false},
+		{math.NaN(), true, false},
+		{math.Inf(1), true, false},
+	} {
+		cfg, err := buildConfig(10, "torus", 50, 2, tc.gamma, "nearest", -1, 2, 0, "resample", "scalar", "interleaved", "none", "none", 0, "none", 0, 0, "none", "uniform", 0, 0, "deterministic", 0, 1)
+		if err != nil {
+			t.Fatalf("gamma %v: %v", tc.gamma, err)
+		}
+		if (cfg.Popularity.Kind == repro.PopZipf) != tc.zipf {
+			t.Errorf("gamma %v: popularity %+v, want zipf=%v", tc.gamma, cfg.Popularity, tc.zipf)
+		}
+		if _, err := repro.Compile(cfg); (err == nil) != tc.ok {
+			t.Errorf("gamma %v: Compile = %v, want ok=%v", tc.gamma, err, tc.ok)
 		}
 	}
 }

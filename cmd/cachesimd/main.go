@@ -52,7 +52,7 @@ func main() {
 		topo     = flag.String("topology", "torus", "torus or grid")
 		k        = flag.Int("k", 2000, "library size K")
 		m        = flag.Int("m", 4, "cache size M")
-		gamma    = flag.Float64("gamma", 0, "Zipf exponent (0 = uniform popularity)")
+		gamma    = flag.Float64("gamma", 0, "Zipf exponent, finite and ≥ 0 (0 = uniform popularity)")
 		strategy = flag.String("strategy", "two-choices", "nearest, two-choices, one-choice or oracle")
 		radius   = flag.Int("radius", 6, "proximity radius r in hops (-1 = unbounded)")
 		choices  = flag.Int("choices", 2, "number of sampled candidates d")
@@ -193,7 +193,9 @@ func buildConfig(side int, topo string, k, m int, gamma float64, strategy string
 		Hetero: hm, Profile: pf, ArrivalRate: arrivalRate,
 		Seed: seed,
 	}
-	if gamma > 0 {
+	// Any non-zero exponent selects Zipf, so a negative or non-finite
+	// one fails validation instead of silently meaning uniform.
+	if gamma != 0 {
 		cfg.Popularity = repro.PopSpec{Kind: repro.PopZipf, Gamma: gamma}
 	}
 	switch strategy {

@@ -1,8 +1,6 @@
 package sim
 
 import (
-	"math/rand/v2"
-
 	"repro/internal/cache"
 	"repro/internal/dist"
 	"repro/internal/workload"
@@ -30,11 +28,11 @@ import (
 // invariant (see cache.ReplaceReplica), and the whole path is
 // allocation-free at steady state.
 //
-// The schedule state lives in churnState so that both owners of mutable
-// placement state can drive it: the batch engine's Runner (per trial,
-// applied at pipeline-chunk barriers) and the served mode's
+// The schedule state lives in churnState, part of the trialState both
+// owners of mutable placement state share: the batch engine's Runner
+// (per trial, applied at pipeline-chunk barriers) and the served mode's
 // sim.Snapshot (long-running, applied by the daemon's mutator between
-// request batches — see snapshot.go and internal/serve).
+// request batches — see state.go, snapshot.go and internal/serve).
 
 // churnState is the churn-schedule state of one mutable placement: the
 // fractional event credit carried between applications and, for
@@ -47,9 +45,6 @@ type churnState struct {
 	driftWeights []float64
 	driftCond    *dist.CustomBuilder
 	driftPop     dist.Popularity
-	// vacant, when non-nil (HeteroArrival), marks nodes that have not yet
-	// joined: churn never migrates replicas onto them.
-	vacant []bool
 }
 
 // init allocates the drift machinery when the world's churn mode needs
@@ -72,19 +67,15 @@ func (cs *churnState) reset() {
 	}
 }
 
-// churnChunk applies the churn schedule accrued by one accounted chunk
-// of c requests. The engine skips the call after the trial's final
-// chunk (no request would ever observe the mutation).
-func (r *Runner) churnChunk(p *cache.Placement, rng *rand.Rand, c int, res *Result) {
-	r.churnSt.apply(r.w, p, rng, c, &res.ChurnEvents, &res.ChurnSkipped)
-}
-
-// apply executes the schedule accrued by c elapsed requests against p,
-// counting applied migrations into events and infeasible drops into
-// skipped. One drifter tick per call: under the batch engine a call is
-// one pipeline chunk, under the served mode one mutator batch — each is
-// its own seeded process over the shared event mechanics.
-func (cs *churnState) apply(w *World, p *cache.Placement, rng *rand.Rand, c int, events, skipped *int) {
+// applyChurn executes the churn schedule accrued by c elapsed requests
+// against the state's placement, counting applied migrations and
+// infeasible drops into res. Churn never migrates replicas onto vacant
+// nodes (HeteroArrival's not-yet-joined ones). One drifter tick per
+// call: under the batch engine a call is one pipeline chunk, under the
+// served mode one mutator batch — each is its own seeded process over
+// the shared event mechanics.
+func (ts *trialState) applyChurn(c int, res *Result) {
+	w, p, cs, rng, vacant := ts.w, ts.p, &ts.churnSt, ts.churnRNG, ts.heteroSt.vacant
 	cs.credit += w.cfg.ChurnRate * float64(c)
 	if cs.drift != nil {
 		// One drift tick per application; rebuild the conditioned
@@ -114,20 +105,20 @@ func (cs *churnState) apply(w *World, p *cache.Placement, rng *rand.Rand, c int,
 		}
 		v := int32(rng.IntN(n))
 		if v == u || p.Has(int(v), j) {
-			*skipped++
+			res.ChurnSkipped++
 			continue
 		}
 		// A vacant destination (HeteroArrival) must stay empty until its
 		// arrival event: its t = 0 would read as a free slot below and the
 		// swap branch would sample from an empty file list.
-		if cs.vacant != nil && cs.vacant[v] {
-			*skipped++
+		if vacant != nil && vacant[v] {
+			res.ChurnSkipped++
 			continue
 		}
 		if p.T(int(v)) < p.Cap(int(v)) {
 			// Destination has a free slot: plain migration.
 			p.ReplaceReplica(j, u, v)
-			*events++
+			res.ChurnEvents++
 			continue
 		}
 		// Destination full — the common shape when K ≫ M, where almost
@@ -138,11 +129,11 @@ func (cs *churnState) apply(w *World, p *cache.Placement, rng *rand.Rand, c int,
 		vFiles := p.NodeFiles(int(v))
 		j2 := int(vFiles[rng.IntN(len(vFiles))])
 		if !p.CanSwap(j, u, j2, v) {
-			*skipped++
+			res.ChurnSkipped++
 			continue
 		}
 		p.SwapReplicas(j, u, j2, v)
-		*events++
+		res.ChurnEvents++
 	}
 }
 

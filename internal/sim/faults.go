@@ -4,7 +4,6 @@ import (
 	"math/rand/v2"
 
 	"repro/internal/cache"
-	"repro/internal/core"
 )
 
 // The fault phase of the request pipeline (robustness regime): after a
@@ -36,9 +35,10 @@ import (
 // Result.FaultSkipped. Load carried by a node at the instant it crashes
 // is accounted into Result.DeadLoad — work the failure stranded.
 //
-// Like churn, the schedule state lives in faultState so both owners of
-// mutable liveness state can drive it: the batch engine's Runner and
-// the served mode's sim.Snapshot (see snapshot.go, internal/serve).
+// Like churn, the schedule state lives in faultState, part of the
+// trialState both owners of mutable liveness state share: the batch
+// engine's Runner and the served mode's sim.Snapshot (see state.go,
+// snapshot.go, internal/serve).
 
 // faultState is the fault-schedule state of one liveness mask: the
 // fractional crash and recovery event credits carried between
@@ -51,52 +51,21 @@ type faultState struct {
 // reset zeroes both event credits (the trial-start state).
 func (fs *faultState) reset() { fs.crashCredit, fs.recoverCredit = 0, 0 }
 
-// armFaults prepares the fault engine for one trial: reset the mask to
-// all-live, zero the event credits, bind the mask into the strategy and
-// derive the per-trial fault stream. Returns nil (and unbinds nothing)
-// under FaultsNone, keeping the fault-free engine untouched.
-func (r *Runner) armFaults(strat core.Strategy, t uint64) *rand.Rand {
-	if r.live == nil {
-		return nil
-	}
-	r.live.Reset()
-	r.faultSt.reset()
-	strat.(core.LivenessAware).SetLiveness(r.live)
-	return r.fault.stream(r.w.faultSrc, t)
-}
-
-// faultChunk applies the crash/recovery schedule accrued by one
-// accounted chunk of c requests. The engine skips the call after the
-// trial's final chunk (no request would ever observe the mutation).
-func (r *Runner) faultChunk(rng *rand.Rand, c int, res *Result) {
-	r.faultSt.apply(r.w, r.live, rng, c, r.nodeLoad, res)
-}
-
-// nodeLoad reads node u's current load through the engine's active view:
-// the base vector everywhere except racy sharded trials, whose live
-// loads accumulate in the shared atomic vector instead.
-func (r *Runner) nodeLoad(u int32) int {
-	if r.shardRacy {
-		return r.atomicLoads.Load(int(u))
-	}
-	return r.loads.Load(int(u))
-}
-
-// apply executes the schedule accrued by c elapsed requests against lv,
-// counting outcomes into res. Crash events drain before recovery events
-// within an application — the order is part of the seeded process
-// frozen by the fault golden matrix. loadOf reads a node's load at its
-// crash instant for the DeadLoad account; nil skips that account (the
-// served mode, where loads live in per-connection contexts rather than
-// one engine vector).
-func (fs *faultState) apply(w *World, lv *cache.Liveness, rng *rand.Rand, c int, loadOf func(int32) int, res *Result) {
+// applyFaults executes the fault schedule accrued by c elapsed requests
+// against the state's liveness mask, counting outcomes into res. Crash
+// events drain before recovery events within an application — the order
+// is part of the seeded process frozen by the fault golden matrix.
+// loadOf reads a node's load at its crash instant for the DeadLoad
+// account; nil skips that account (see trialState.advance).
+func (ts *trialState) applyFaults(c int, loadOf func(int32) int, res *Result) {
+	w, fs := ts.w, &ts.faultSt
 	fs.crashCredit += w.cfg.FaultRate * float64(c)
 	fs.recoverCredit += w.cfg.RecoverRate * float64(c)
 	for ; fs.crashCredit >= 1; fs.crashCredit-- {
-		crashEvent(w, lv, rng, loadOf, res)
+		crashEvent(w, ts.live, ts.faultRNG, loadOf, res)
 	}
 	for ; fs.recoverCredit >= 1; fs.recoverCredit-- {
-		recoverEvent(w, lv, rng, res)
+		recoverEvent(w, ts.live, ts.faultRNG, res)
 	}
 }
 
@@ -164,21 +133,5 @@ func recoverEvent(w *World, lv *cache.Liveness, rng *rand.Rand, res *Result) {
 			return
 		}
 		res.RecoverEvents++
-	}
-}
-
-// finishFaults stamps the trial's fault summary: the end-of-trial dead
-// population and the availability ratio — the fraction of requests the
-// cache network itself served (everything that did not fall through to
-// backhaul at the origin). A no-op under FaultsNone, whose Results stay
-// bit-identical to the fault-free engine.
-func (r *Runner) finishFaults(res *Result) {
-	if r.live == nil {
-		return
-	}
-	res.Faulted = true
-	res.DeadNodes = r.live.DeadCount()
-	if res.Requests > 0 {
-		res.Availability = float64(res.Requests-res.Backhaul) / float64(res.Requests)
 	}
 }

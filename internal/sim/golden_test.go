@@ -153,7 +153,7 @@ func TestWorldMatchesRunTrial(t *testing.T) {
 // carries extra per-trial state (the LinkLoads accumulator) that Runners
 // reuse and must fully reset.
 func TestWorldMatchesRunTrialLinks(t *testing.T) {
-	cfg := Config{Side: 10, K: 40, M: 2, Seed: 5, CollectLinks: true,
+	cfg := Config{Side: 10, K: 40, M: 2, Seed: 5, Metrics: MetricsLinks,
 		Strategy: StrategySpec{Kind: TwoChoices, Radius: 4}}
 	w, err := Compile(cfg)
 	if err != nil {

@@ -4,9 +4,6 @@ import (
 	"fmt"
 	"math"
 	"math/rand/v2"
-
-	"repro/internal/cache"
-	"repro/internal/core"
 )
 
 // This file implements the heterogeneity regime: per-node cache sizes
@@ -235,73 +232,30 @@ func (hs *heteroState) arm(w *World, rng *rand.Rand) {
 	}
 }
 
-// wrapView returns the load view the strategies should compare through:
-// inner itself when no capacity skew is in play, or the runner's
-// WeightedLoads rebound over inner. Rebinding is in place — no
-// allocation on the trial path.
-func (r *Runner) wrapView(inner core.LoadReader) core.LoadReader {
-	if r.w.cfg.Hetero == HeteroNone || r.heteroSt.mults == nil {
-		return inner
-	}
-	r.weighted.Bind(inner, r.heteroSt.mults)
-	return r.weighted
-}
-
-// armHetero prepares trial t's heterogeneity: it derives the dedicated
-// hetero stream, draws the capacity profile and vacancy pattern, and
-// installs them into the placer ahead of Place. It returns the hetero
-// RNG — live for the trial's arrival schedule — under HeteroArrival and
-// nil otherwise; under HeteroNone the stream is never derived.
-func (r *Runner) armHetero(t uint64) *rand.Rand {
-	w := r.w
-	if w.cfg.Hetero == HeteroNone {
-		return nil
-	}
-	rng := r.hetero.stream(w.heteroSrc, t)
-	r.heteroSt.arm(w, rng)
-	r.placer.SetHetero(r.heteroSt.caps, r.heteroSt.vacant)
-	if w.cfg.Hetero != HeteroArrival {
-		return nil
-	}
-	return rng
-}
-
 // applyArrivals advances the arrival schedule past c served requests:
 // credit accrues at ArrivalRate events per request, and each whole
 // event picks a uniform still-vacant node, fills it via the placer
 // (rebuilding the replica and tile indexes in place) and revives it if
 // fault injection had crashed it. With no vacant nodes left the event
 // is burned as skipped, keeping the RNG schedule independent of how
-// fast the network fills up. Both mutable-placement owners drive it at
-// their barriers — the batch Runner per pipeline chunk, the served
-// Snapshot per Advance — always before the fault and churn engines.
-func (hs *heteroState) applyArrivals(w *World, placer *cache.Placer, live *cache.Liveness, rng *rand.Rand, c int, events, skipped *int) {
+// fast the network fills up. The barrier runs it before the fault and
+// churn engines (see trialState.advance).
+func (ts *trialState) applyArrivals(c int, res *Result) {
+	w, hs := ts.w, &ts.heteroSt
 	hs.credit += w.cfg.ArrivalRate * float64(c)
 	for ; hs.credit >= 1; hs.credit-- {
 		if len(hs.vacantList) == 0 {
-			*skipped++
+			res.ArrivalSkipped++
 			continue
 		}
-		i := rng.IntN(len(hs.vacantList))
+		i := ts.arrivalRNG.IntN(len(hs.vacantList))
 		u := hs.vacantList[i]
 		hs.vacantList[i] = hs.vacantList[len(hs.vacantList)-1]
 		hs.vacantList = hs.vacantList[:len(hs.vacantList)-1]
-		placer.ArriveNode(u, w.placeProfile, w.cfg.PlacementMode, rng)
-		if live != nil {
-			live.Revive(u)
+		ts.placer.ArriveNode(u, w.placeProfile, w.cfg.PlacementMode, ts.arrivalRNG)
+		if ts.live != nil {
+			ts.live.Revive(u)
 		}
-		*events++
-	}
-}
-
-// arrivalChunk is the batch engine's barrier hook over applyArrivals.
-func (r *Runner) arrivalChunk(rng *rand.Rand, c int, res *Result) {
-	r.heteroSt.applyArrivals(r.w, r.placer, r.live, rng, c, &res.ArrivalEvents, &res.ArrivalSkipped)
-}
-
-// finishHetero records trial-end heterogeneity counters.
-func (r *Runner) finishHetero(res *Result) {
-	if r.w.cfg.Hetero == HeteroArrival {
-		res.Vacant = len(r.heteroSt.vacantList)
+		res.ArrivalEvents++
 	}
 }

@@ -165,9 +165,9 @@ func TestStreamingMetricsMatchSequentialOracle(t *testing.T) {
 		t.Fatal(err)
 	}
 	r := w.NewRunner()
-	placement := r.placer.Place(w.placeProfile, w.cfg.PlacementMode, r.place.stream(w.placeSrc, trial))
-	strat := r.strategy(placement)
-	sampler := r.fileSampler(placement)
+	r.arm(trial)
+	strat := r.bind(nil)
+	sampler := r.pop
 	reqRNG := r.req.stream(w.reqSrc, trial)
 	r.loads.Reset()
 	var hopMoments stats.Summary // Welford, as the streaming accumulator folds
@@ -285,21 +285,6 @@ func TestMetricsStreamsValidation(t *testing.T) {
 	bad.Streams = Streams(9)
 	if _, err := Compile(bad); err == nil {
 		t.Error("unknown streams discipline accepted")
-	}
-	bad = base
-	bad.CollectLinks = true
-	bad.Metrics = MetricsStreaming
-	if _, err := Compile(bad); err == nil {
-		t.Error("CollectLinks + MetricsStreaming accepted")
-	}
-	ok := base
-	ok.CollectLinks = true
-	res, err := RunTrial(ok, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.MaxLinkLoad == 0 {
-		t.Error("CollectLinks no longer upgrades to MetricsLinks")
 	}
 }
 

@@ -1,19 +1,14 @@
 package sim
 
 import (
-	"math/rand/v2"
-
-	"repro/internal/ballsbins"
 	"repro/internal/core"
 	"repro/internal/dist"
-	"repro/internal/routing"
-	"repro/internal/stats"
 )
 
-// This file is the intra-trial sharded engine (Config.Workers > 0): the
-// request pipeline of one trial runs on P workers instead of one, while
-// everything order-sensitive — load application, accounting, churn —
-// stays with the coordinator at the chunk barrier.
+// This file is the sharded fill of the trial pipeline (Config.Workers >
+// 0): each chunk's generate and assign work runs on P workers instead of
+// one, while everything order-sensitive — load application, accounting,
+// the arrival/fault/churn barrier — stays with the coordinator.
 //
 // Execution model. Each pipeline chunk is cut into fixed 64-request
 // granules (shardGranule); shard s owns the contiguous granule range
@@ -23,11 +18,10 @@ import (
 // stream), so the draws a request sees depend only on (cfg, trial,
 // request index) — never on P or on scheduling. Workers generate and
 // assign their granules concurrently, writing disjoint slices of the
-// shared chunk record buffers; at the barrier the coordinator applies
-// the recorded load deltas in request order (ShardDeterministic), folds
-// the per-shard scalar accounts and per-granule hop accumulators (in
-// shard and granule order respectively), routes link metrics, and runs
-// the churn phase — then releases the workers into the next chunk.
+// shared chunk record buffers; once they are done the coordinator
+// applies the recorded load deltas in request order (ShardDeterministic)
+// and runs the pipeline's shared account pass and chunk barrier, as for
+// every fill — then releases the workers into the next chunk.
 //
 // Barrier protocol. The coordinator runs shard 0 itself and parks the
 // P−1 worker goroutines on per-worker start channels between chunks.
@@ -61,242 +55,38 @@ import (
 // frozen by the parallel golden matrix.
 const shardGranule = 64
 
-// shardAcct is one shard's order-insensitive chunk account. Hop counts
-// sum in int64, so folding shards in any grouping is exact — float
-// summation here would make MeanCost depend on the shard partition and
-// hence on P.
-type shardAcct struct {
-	hops      int64
-	escalated int
-	backhaul  int
-	retried   int
-}
-
 // shardState is one worker's private scratch: its strategy instance
 // (strategies carry per-instance buffers and are not concurrency-safe),
-// its three granule-reseeded generators, its chunk account and, in racy
-// mode, the running maximum over its atomic Add returns.
+// its three granule-reseeded generators and, in racy mode, the running
+// maximum over its atomic Add returns.
 type shardState struct {
 	strat                core.Strategy
 	origin, file, assign reseedRand
-	acct                 shardAcct
 	maxSeen              int
 }
 
-// initShards lazily builds the per-shard scratch and barrier plumbing.
-func (r *Runner) initShards() {
-	w := r.w
-	p := w.cfg.Workers
-	if r.shards == nil {
-		r.shards = make([]shardState, p)
-		r.startCh = make([]chan struct{}, p)
-		for s := 1; s < p; s++ {
-			r.startCh[s] = make(chan struct{}, 1)
-		}
-	}
-	if w.cfg.Shard == ShardRacy && r.atomicLoads == nil {
-		r.atomicLoads = ballsbins.NewAtomicLoads(w.g.N())
-	}
-	if w.metrics == MetricsStreaming && r.granAccs == nil {
-		g := (min(w.chunk, w.nReq) + shardGranule - 1) / shardGranule
-		r.granAccs = make([]*stats.Accumulator, g)
-		for i := range r.granAccs {
-			r.granAccs[i] = stats.NewAccumulator(w.g.Diameter())
-		}
-	}
-}
-
-// runTrialSharded executes one trial through the sharded engine. The
-// trial-invariant setup (placement, conditioning, metric arenas, churn
-// stream) matches the sequential engine exactly; only the request
-// pipeline changes discipline.
-func (r *Runner) runTrialSharded(t uint64) Result {
-	w := r.w
-	r.initShards()
-	arrivalRNG := r.armHetero(t)
-	placement := r.placer.Place(w.placeProfile, w.cfg.PlacementMode, r.place.stream(w.placeSrc, t))
-	for s := range r.shards {
-		st := &r.shards[s]
-		if st.strat == nil {
-			st.strat = buildStrategy(w.cfg, w.g, placement)
-		} else if rb, ok := st.strat.(core.Rebindable); ok {
-			rb.Rebind(placement)
-		} else {
-			st.strat = buildStrategy(w.cfg, w.g, placement)
-		}
-		st.acct = shardAcct{}
-		st.maxSeen = 0
-	}
-
-	n := w.g.N()
-	r.loads.Reset()
-	r.shardRacy = w.cfg.Shard == ShardRacy
-	if r.shardRacy {
-		r.atomicLoads.Reset()
-		r.shardLoads = r.atomicLoads
-	} else {
-		r.shardLoads = r.loads
-	}
-	// Under capacity skew the strategies compare through the weighted
-	// view; writes, MaxLoad and the load summary stay on the raw vector.
-	r.shardView = r.wrapView(r.shardLoads)
-	r.shardT = t
-	r.shardSampler = r.fileSampler(placement)
-
-	res := Result{Requests: w.nReq, Uncached: placement.UncachedCount()}
-	var links *routing.LinkLoads
-	var hopAcc *stats.Accumulator
-	switch w.metrics {
-	case MetricsLinks:
-		if r.links == nil {
-			r.links = routing.NewLinkLoads(w.g)
-		} else {
-			r.links.Reset()
-		}
-		links = r.links
-	case MetricsStreaming:
-		if r.hopAcc == nil {
-			r.hopAcc = stats.NewAccumulator(w.g.Diameter())
-			r.loadAcc = stats.NewAccumulator(w.loadBound)
-			if n <= LinkSketchMaxN {
-				r.links64 = stats.NewSpaceSaving(LinkSketchCap)
-				r.linkBuf = make([]uint64, 0, w.g.Diameter()+1)
-			}
-		}
-		r.hopAcc.Reset()
-		r.loadAcc.Reset()
-		if r.links64 != nil {
-			r.links64.Reset()
-		}
-		for _, acc := range r.granAccs {
-			acc.Reset()
-		}
-		hopAcc = r.hopAcc
-	}
-
-	var churnRNG *rand.Rand
-	if w.cfg.Churn != ChurnNone {
-		churnRNG = r.churn.stream(w.churnSrc, t)
-		r.churnSt.reset()
-	}
-	// Faults compose with sharding: one shared mask, bound into every
-	// shard's strategy, mutated only by the coordinator at the chunk
-	// barrier (workers read it concurrently but never during a mutation —
-	// the same happens-before edges that protect the chunk buffers).
-	var faultRNG *rand.Rand
-	if r.live != nil {
-		r.live.Reset()
-		r.faultSt.reset()
-		for s := range r.shards {
-			r.shards[s].strat.(core.LivenessAware).SetLiveness(r.live)
-		}
-		faultRNG = r.fault.stream(w.faultSrc, t)
-	}
-
-	chunk := len(r.origins)
-	nChunks := (w.nReq + chunk - 1) / chunk
+// fillSharded is the sharded fill of the chunk [base, base+c): publish
+// the chunk descriptor, release the workers, run shard 0 on the
+// coordinator and wait for the rest. Under ShardDeterministic the
+// coordinator then applies the chunk's load deltas in request order, so
+// the base vector's running max tracks exactly as in the sequential
+// engine; ShardRacy workers already added into the atomic vector.
+func (r *Runner) fillSharded(base, c int) {
+	r.shardBase, r.shardC = base, c
 	p := len(r.shards)
+	r.doneWG.Add(p - 1)
 	for s := 1; s < p; s++ {
-		go r.shardWorker(s, nChunks)
+		r.startCh[s] <- struct{}{}
 	}
-
-	var a shardAcct
-	for base := 0; base < w.nReq; base += chunk {
-		c := min(chunk, w.nReq-base)
-		r.shardBase, r.shardC = base, c
-		r.doneWG.Add(p - 1)
-		for s := 1; s < p; s++ {
-			r.startCh[s] <- struct{}{}
-		}
-		r.runShard(0)
-		r.doneWG.Wait()
-		// Barrier: the workers are parked; the coordinator owns every
-		// shared structure until the next start signal.
-		if !r.shardRacy {
-			// Apply the chunk's load deltas in request order; the base
-			// vector's running max tracks exactly as in the sequential
-			// engine.
-			for i := 0; i < c; i++ {
-				r.loads.Add(int(r.servers[i]))
-			}
-		}
-		for s := range r.shards {
-			st := &r.shards[s]
-			a.hops += st.acct.hops
-			a.escalated += st.acct.escalated
-			a.backhaul += st.acct.backhaul
-			a.retried += st.acct.retried
-			st.acct = shardAcct{}
-		}
-		if links != nil {
-			for i := 0; i < c; i++ {
-				links.Route(int(r.origins[i]), int(r.servers[i]))
-			}
-		}
-		if hopAcc != nil {
-			g := (c + shardGranule - 1) / shardGranule
-			for i := 0; i < g; i++ {
-				hopAcc.Merge(r.granAccs[i])
-				r.granAccs[i].Reset()
-			}
-			if r.links64 != nil {
-				gr := w.g
-				for i := 0; i < c; i++ {
-					if r.hops[i] == 0 {
-						continue
-					}
-					r.linkBuf = routing.AppendLinks(gr, int(r.origins[i]), int(r.servers[i]), r.linkBuf[:0])
-					for _, id := range r.linkBuf {
-						r.links64.Observe(id)
-					}
-				}
-			}
-		}
-		if base+c < w.nReq {
-			if arrivalRNG != nil {
-				r.arrivalChunk(arrivalRNG, c, &res)
-			}
-			if faultRNG != nil {
-				r.faultChunk(faultRNG, c, &res)
-			}
-			if churnRNG != nil {
-				r.churnChunk(placement, churnRNG, c, &res)
-			}
+	r.runShard(0)
+	r.doneWG.Wait()
+	// Barrier: the workers are parked; the coordinator owns every shared
+	// structure until the next start signal.
+	if r.atomicLoads == nil {
+		for i := 0; i < c; i++ {
+			r.loads.Add(int(r.servers[i]))
 		}
 	}
-
-	res.Escalated, res.Backhaul, res.Retried = a.escalated, a.backhaul, a.retried
-	r.finishHetero(&res)
-	if links != nil {
-		res.MaxLinkLoad = links.Max()
-		res.LinkCongestion = links.CongestionFactor()
-	}
-	if r.shardRacy {
-		for s := range r.shards {
-			if r.shards[s].maxSeen > res.MaxLoad {
-				res.MaxLoad = r.shards[s].maxSeen
-			}
-		}
-	} else {
-		res.MaxLoad = r.loads.Max()
-	}
-	if w.nReq > 0 {
-		res.MeanCost = float64(a.hops) / float64(w.nReq)
-	}
-	if hopAcc != nil {
-		for u := 0; u < n; u++ {
-			r.loadAcc.Observe(r.shardLoads.Load(u))
-		}
-		res.Streamed = true
-		res.HopMax = hopAcc.Max()
-		res.HopStd = hopAcc.Std()
-		res.LoadP99 = r.loadAcc.Quantile(0.99)
-		if r.links64 != nil {
-			res.LinkMaxApprox = r.links64.MaxCount()
-		}
-	}
-	r.finishFaults(&res)
-	return res
 }
 
 // shardWorker is the goroutine body of shard s: one barrier round per
@@ -312,7 +102,7 @@ func (r *Runner) shardWorker(s, nChunks int) {
 // runShard processes shard s's granules of the current chunk: per
 // granule, reseed the three streams from the granule label (its global
 // first-request index), batch-generate the ids, then assign each
-// request against the shard's load view, recording results into the
+// request against the runner's load view, recording results into the
 // shard's disjoint slice of the chunk buffers.
 func (r *Runner) runShard(s int) {
 	w := r.w
@@ -321,7 +111,7 @@ func (r *Runner) runShard(s int) {
 	p := len(r.shards)
 	g := (c + shardGranule - 1) / shardGranule
 	n := w.g.N()
-	racy := r.shardRacy
+	pop, view, atomic := r.pop, r.view, r.atomicLoads
 	for gi := g * s / p; gi < g*(s+1)/p; gi++ {
 		lo := gi * shardGranule
 		hi := min(lo+shardGranule, c)
@@ -329,39 +119,18 @@ func (r *Runner) runShard(s int) {
 		originRNG := st.origin.stream(w.originSrc.Split(label), t)
 		fileRNG := st.file.stream(w.fileSrc.Split(label), t)
 		assignRNG := st.assign.stream(w.assignSrc.Split(label), t)
-		dist.RequestBatch(originRNG, fileRNG, n, r.shardSampler, r.origins[lo:hi], r.files[lo:hi])
-		var acc *stats.Accumulator
-		if r.granAccs != nil {
-			acc = r.granAccs[gi]
-		}
+		dist.RequestBatch(originRNG, fileRNG, n, pop, r.origins[lo:hi], r.files[lo:hi])
 		for i := lo; i < hi; i++ {
 			req := core.Request{Origin: r.origins[i], File: r.files[i]}
-			a := st.strat.Assign(req, r.shardView, assignRNG)
-			if racy {
-				if v := r.atomicLoads.Add(int(a.Server)); v > st.maxSeen {
+			a := st.strat.Assign(req, view, assignRNG)
+			if atomic != nil {
+				if v := atomic.Add(int(a.Server)); v > st.maxSeen {
 					st.maxSeen = v
 				}
 			}
 			r.servers[i] = a.Server
 			r.hops[i] = a.Hops
-			var f uint8
-			if a.Escalated {
-				f |= flagEscalated
-				st.acct.escalated++
-			}
-			if a.Backhaul {
-				f |= flagBackhaul
-				st.acct.backhaul++
-			}
-			if a.Retried {
-				f |= flagRetried
-				st.acct.retried++
-			}
-			r.flags[i] = f
-			st.acct.hops += int64(a.Hops)
-			if acc != nil {
-				acc.Observe(int(a.Hops))
-			}
+			r.flags[i] = flagsOf(a)
 		}
 	}
 }

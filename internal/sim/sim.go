@@ -8,6 +8,7 @@ package sim
 
 import (
 	"fmt"
+	"math"
 	"sync/atomic"
 
 	"repro/internal/cache"
@@ -502,9 +503,6 @@ type Config struct {
 	// them at the next chunk barrier). Events draw from the same
 	// dedicated hetero RNG stream as the capacity profile.
 	ArrivalRate float64
-	// CollectLinks is the pre-Metrics spelling of MetricsLinks, kept for
-	// compatibility: it upgrades MetricsScalar to MetricsLinks.
-	CollectLinks bool
 	// Workers is the intra-trial shard count P. 0 (default) runs the
 	// sequential engine, bit-identical to every pinned golden. P ≥ 1
 	// engages the sharded engine: each pipeline chunk is partitioned into
@@ -541,6 +539,12 @@ func (c Config) validate() error {
 	}
 	if c.Requests < 0 {
 		return fmt.Errorf("sim: Requests must be non-negative, got %d", c.Requests)
+	}
+	if c.Popularity.Kind < PopUniform || c.Popularity.Kind > PopZipf {
+		return fmt.Errorf("sim: unknown popularity kind %d", int(c.Popularity.Kind))
+	}
+	if g := c.Popularity.Gamma; c.Popularity.Kind == PopZipf && (g < 0 || math.IsNaN(g) || math.IsInf(g, 0)) {
+		return fmt.Errorf("sim: Zipf exponent must be finite and non-negative, got %v", g)
 	}
 	if c.Metrics < MetricsScalar || c.Metrics > MetricsStreaming {
 		return fmt.Errorf("sim: unknown metrics mode %d", int(c.Metrics))
@@ -592,9 +596,6 @@ func (c Config) validate() error {
 	}
 	if c.Hetero == HeteroArrival && c.MissPolicy == MissResample {
 		return fmt.Errorf("sim: Hetero=arrival cannot combine with MissPolicy=resample (arrivals grow the cached set mid-trial, invalidating the conditioned stream); use MissEscalate or MissOrigin")
-	}
-	if c.CollectLinks && c.Metrics == MetricsStreaming {
-		return fmt.Errorf("sim: CollectLinks materializes per-link loads; it cannot combine with MetricsStreaming")
 	}
 	if c.Workers < 0 {
 		return fmt.Errorf("sim: Workers must be non-negative, got %d", c.Workers)
@@ -649,8 +650,7 @@ type Result struct {
 	ArrivalSkipped int // scheduled arrivals dropped (no vacant node left)
 	Vacant         int // nodes still vacant at trial end
 
-	// Link metrics, populated only in MetricsLinks mode (or the
-	// compatibility Config.CollectLinks spelling).
+	// Link metrics, populated only in MetricsLinks mode.
 	MaxLinkLoad    int64   // traffic on the hottest directed link
 	LinkCongestion float64 // max/mean link load (1 = perfectly even)
 

@@ -51,6 +51,37 @@ func TestConfigValidation(t *testing.T) {
 	}
 }
 
+// TestValidatePopularity pins the popularity checks: a Zipf exponent
+// that dist.NewZipf would panic on must fail validation instead, so a
+// sweep point never passes Validate and then panics on a worker.
+func TestValidatePopularity(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		pop  PopSpec
+		ok   bool
+	}{
+		{"uniform", PopSpec{Kind: PopUniform}, true},
+		{"uniform ignores gamma", PopSpec{Kind: PopUniform, Gamma: -1}, true},
+		{"zipf 0", PopSpec{Kind: PopZipf}, true},
+		{"zipf 1.2", PopSpec{Kind: PopZipf, Gamma: 1.2}, true},
+		{"zipf negative", PopSpec{Kind: PopZipf, Gamma: -1}, false},
+		{"zipf NaN", PopSpec{Kind: PopZipf, Gamma: math.NaN()}, false},
+		{"zipf +Inf", PopSpec{Kind: PopZipf, Gamma: math.Inf(1)}, false},
+		{"zipf -Inf", PopSpec{Kind: PopZipf, Gamma: math.Inf(-1)}, false},
+		{"unknown kind", PopSpec{Kind: PopKind(7)}, false},
+	} {
+		c := baseConfig()
+		c.Popularity = tc.pop
+		err := Validate(c)
+		if (err == nil) != tc.ok {
+			t.Errorf("%s: Validate = %v, want ok=%v", tc.name, err, tc.ok)
+		}
+		if _, cerr := Compile(c); (cerr == nil) != tc.ok {
+			t.Errorf("%s: Compile = %v, want ok=%v", tc.name, cerr, tc.ok)
+		}
+	}
+}
+
 func TestTrialDeterminism(t *testing.T) {
 	cfg := baseConfig()
 	cfg.Strategy = StrategySpec{Kind: TwoChoices, Radius: core.RadiusUnbounded}

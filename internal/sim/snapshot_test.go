@@ -64,6 +64,9 @@ func replayTrial(t *testing.T, w *World, trial uint64) Result {
 		res.MeanCost = hops / float64(nReq)
 	}
 	info := s.Info()
+	if ci := s.Clone().Info(); ci != info {
+		t.Errorf("trial %d: clone reports %+v, shadow %+v", trial, ci, info)
+	}
 	res.ChurnEvents, res.ChurnSkipped = info.ChurnEvents, info.ChurnSkipped
 	res.FaultEvents, res.RecoverEvents = info.FaultEvents, info.RecoverEvents
 	res.FaultSkipped, res.DeadNodes = info.FaultSkipped, info.DeadNodes

@@ -5,7 +5,6 @@ import (
 	"sync"
 
 	"repro/internal/ballsbins"
-	"repro/internal/cache"
 	"repro/internal/core"
 	"repro/internal/dist"
 	"repro/internal/grid"
@@ -70,13 +69,12 @@ type World struct {
 	faultSrc     xrand.Source // namespace 7: fault event streams
 	heteroSrc    xrand.Source // namespace 8: hetero profile + arrival streams
 	nReq         int
-	metrics      MetricsMode  // resolved (CollectLinks folded in)
 	chunk        int          // request-pipeline block size (tests override)
 	loadBound    int          // streaming load-histogram bound
 	tiling       *grid.Tiling // spatial-index geometry (IndexTiles, bounded radius)
 	regionTiling *grid.Tiling // FaultsRegional failure-domain geometry
 
-	runners sync.Pool // *Runner recycling for the RunTrial convenience path
+	runners sync.Pool // *Runner recycling for RunTrial and RunBlock (see pooled)
 }
 
 // Compile validates cfg and builds its trial-invariant state.
@@ -96,14 +94,10 @@ func Compile(cfg Config) (*World, error) {
 		churnSrc:  src.Split(6),
 		faultSrc:  src.Split(7),
 		heteroSrc: src.Split(8),
-		metrics:   cfg.Metrics,
 		chunk:     defaultChunk,
 	}
 	if cfg.Chunk > 0 {
 		w.chunk = cfg.Chunk
-	}
-	if w.metrics == MetricsScalar && cfg.CollectLinks {
-		w.metrics = MetricsLinks
 	}
 	w.pop = cfg.Popularity.Build(cfg.K)
 	w.condName = w.pop.Name() + "|cached"
@@ -149,14 +143,20 @@ func (w *World) N() int { return w.g.N() }
 // Identical (cfg, t) pairs produce identical results regardless of whether
 // they run through a fresh world, a reused Runner, or the package-level
 // RunTrial. Safe for concurrent use; runners are pooled internally.
-func (w *World) RunTrial(t uint64) Result {
+func (w *World) RunTrial(t uint64) (res Result) {
+	w.pooled(func(r *Runner) { res = r.RunTrial(t) })
+	return res
+}
+
+// pooled runs f on a Runner borrowed from the world's pool, building one
+// when the pool is empty.
+func (w *World) pooled(f func(*Runner)) {
 	r, _ := w.runners.Get().(*Runner)
 	if r == nil {
 		r = w.NewRunner()
 	}
-	res := r.RunTrial(t)
+	f(r)
 	w.runners.Put(r)
-	return res
 }
 
 // reseedRand is a reusable deterministic generator: one PCG wrapped by one
@@ -209,61 +209,54 @@ func RegionNodes(side int) int {
 }
 
 // Runner executes trials of one World through reusable per-worker scratch:
-// the placement builder, the load vector, the strategy instance with its
-// candidate buffers, the miss-policy conditioning arenas, the per-trial
-// generators and the request-pipeline chunk buffers. After the first trial
-// a Runner's steady state allocates nothing. A Runner is NOT safe for
-// concurrent use; create one per worker.
+// the trial state (placer, liveness mask, event schedules, sampler
+// arenas), the load vector, the strategy instances with their candidate
+// buffers, the per-trial generators, the metric arenas and the
+// request-pipeline chunk buffers. After the first trial a Runner's
+// steady state allocates nothing. A Runner is NOT safe for concurrent
+// use; create one per worker.
 //
-// A trial's request phase is a streaming pipeline over fixed-size chunks:
+// A trial is one pipeline. It sets up once — trialState.arm (capacity
+// profile, placement, conditioned file sampler, event streams), strategy
+// binding, load view and metric resets — then runs one loop over
+// fixed-size chunks:
 //
-//	generate — draw (origin, file) ids into the chunk buffers;
-//	assign   — run the strategy per request, updating the load vector and
-//	           recording (server, hops, flags);
-//	account  — fold the chunk's records into the trial accumulators
-//	           (hop sum, miss counters, link loads or streaming moments);
-//	churn    — under a non-none Config.Churn, mutate the placement (and
-//	           tile index) in place through cache.ReplaceReplica before
-//	           the next chunk is generated (see churn.go), so strategies
-//	           never observe a half-spliced index.
+//	fill    — draw (origin, file) ids into the chunk buffers and assign
+//	          each request, recording (server, hops, flags);
+//	account — fold the chunk's records into the trial accumulators (an
+//	          exact hop total, the miss and degradation counters, link
+//	          loads or streaming moments and the link sketch);
+//	barrier — apply the arrival, fault and churn schedules the chunk
+//	          accrued (trialState.advance, the method the served
+//	          Snapshot's Advance calls too), so strategies never observe
+//	          a half-applied mutation;
 //
-// Under the default StreamsInterleaved discipline the generate and assign
-// phases are fused into one pass: every strategy draws from the same
-// per-trial stream as the id generation (candidate sampling, tie breaks),
-// so separating them would reorder RNG consumption and break
-// bit-compatibility with the pinned goldens. StreamsSplit gives each role
-// its own stream, which is what lets generate run as one batched
-// dist.RequestBatch call per chunk.
+// and finishes once. The fill is the only per-discipline step, chosen
+// per chunk, never per request:
+//
+//	interleaved — StreamsInterleaved fuses generate and assign on one
+//	              per-trial stream: every strategy draws from the same
+//	              stream as the id generation (candidate sampling, tie
+//	              breaks), so separating them would reorder RNG
+//	              consumption and break the pinned goldens;
+//	split       — StreamsSplit gives each role its own stream, so the ids
+//	              come from one batched dist.RequestBatch call per chunk
+//	              before the assign loop;
+//	sharded     — Workers ≥ 1 cuts the chunk into 64-request granules
+//	              that P workers generate and assign concurrently (see
+//	              shard.go).
 type Runner struct {
-	w       *World
-	placer  *cache.Placer
-	loads   *ballsbins.Loads
-	strat   core.Strategy
-	links   *routing.LinkLoads
-	weights []float64
-	cond    *dist.CustomBuilder
+	trialState
 
-	place, req, origin, file, assign, churn, fault, hetero reseedRand
+	loads    *ballsbins.Loads
+	strat    core.Strategy // the sequential fills' instance (shards own theirs)
+	weighted ballsbins.WeightedLoads
+	// view is what Assign compares through: the raw vector (the atomic one
+	// under ShardRacy), wrapped in weighted under capacity skew. Writes,
+	// MaxLoad and the load summary stay on the raw vector.
+	view core.LoadReader
 
-	// Heterogeneity state (Config.Hetero != HeteroNone): the per-trial
-	// capacity profile and vacancy scratch, the weighted load view bound
-	// into the strategies' comparisons, and the reader the sequential
-	// engine routes Assign through (the raw vector under HeteroNone or
-	// ProfileUniform — see hetero.go).
-	heteroSt heteroState
-	weighted *ballsbins.WeightedLoads
-	loadView core.LoadReader
-
-	// Churn state (Config.Churn != ChurnNone): the event schedule and
-	// drift machinery, shared with the served mode's snapshots (see
-	// churn.go).
-	churnSt churnState
-
-	// Fault state (Config.Faults != FaultsNone): the node liveness mask
-	// bound into the strategies, plus the crash/recover event schedule
-	// shared with the served mode's snapshots (see faults.go).
-	live    *cache.Liveness
-	faultSt faultState
+	req, origin, file, assign reseedRand
 
 	// Chunk buffers of the request pipeline (len = min(chunk, requests)).
 	origins []int32
@@ -272,30 +265,27 @@ type Runner struct {
 	hops    []int32
 	flags   []uint8
 
-	// Streaming-metrics accumulators (MetricsStreaming only).
-	hopAcc  *stats.Accumulator
-	loadAcc *stats.Accumulator
+	// Metric arenas for the world's MetricsMode, built by NewRunner.
+	links   *routing.LinkLoads // MetricsLinks
+	hopAcc  *stats.Accumulator // MetricsStreaming: per-request hop moments
+	granAcc *stats.Accumulator // one granule's hop moments (Workers ≥ 1)
+	loadAcc *stats.Accumulator // final node loads → Result.LoadP99
 	links64 *stats.SpaceSaving // link heavy hitters → Result.LinkMaxApprox
 	linkBuf []uint64           // per-request link ids of the XY route
 
-	// Sharded-engine state (Config.Workers > 0; see shard.go): per-shard
-	// worker scratch, the racy mode's shared atomic load vector, the
-	// per-granule hop accumulators merged at each barrier, the reusable
-	// start-signal channels of the worker barrier protocol, and the
-	// current chunk descriptor the coordinator publishes before each
-	// start signal (the channel send/recv is the happens-before edge).
-	shards       []shardState
-	atomicLoads  *ballsbins.AtomicLoads
-	granAccs     []*stats.Accumulator
-	startCh      []chan struct{}
-	doneWG       sync.WaitGroup
-	shardT       uint64
-	shardBase    int
-	shardC       int
-	shardSampler dist.Popularity
-	shardLoads   core.LoadReader // raw per-chunk reader (frozen or atomic)
-	shardView    core.LoadReader // what Assign compares through: shardLoads, weighted under capacity skew
-	shardRacy    bool
+	// Sharded fill state (Config.Workers > 0; see shard.go): per-shard
+	// worker scratch, the racy mode's shared atomic load vector (nil
+	// otherwise), the reusable start-signal channels of the worker barrier
+	// protocol, and the current chunk descriptor the coordinator publishes
+	// before each start signal (the channel send/recv is the
+	// happens-before edge).
+	shards      []shardState
+	atomicLoads *ballsbins.AtomicLoads
+	startCh     []chan struct{}
+	doneWG      sync.WaitGroup
+	shardT      uint64
+	shardBase   int
+	shardC      int
 }
 
 // tileSize picks the index tile side for radius r: the largest divisor
@@ -348,18 +338,7 @@ const (
 // NewRunner returns a fresh Runner over w.
 func (w *World) NewRunner() *Runner {
 	b := min(w.chunk, w.nReq)
-	placer := cache.NewPlacer(w.g.N(), w.cfg.M, w.cfg.K)
-	// Hetero layout first: EnableTiles and EnableChurn size their arenas
-	// off the per-node slot budget EnableHetero installs.
-	if w.cfg.Hetero != HeteroNone {
-		placer.EnableHetero(profileMaxCap(w.cfg.Profile, w.cfg.M))
-	}
-	if w.tiling != nil {
-		placer.EnableTiles(w.tiling)
-	}
 	r := &Runner{
-		w:       w,
-		placer:  placer,
 		loads:   ballsbins.NewLoads(w.g.N()),
 		origins: make([]int32, b),
 		files:   make([]int32, b),
@@ -367,200 +346,141 @@ func (w *World) NewRunner() *Runner {
 		hops:    make([]int32, b),
 		flags:   make([]uint8, b),
 	}
-	if w.cfg.Hetero != HeteroNone {
-		r.heteroSt.init(w)
-		if r.heteroSt.mults != nil {
-			r.weighted = &ballsbins.WeightedLoads{}
-		}
-	}
 	// Arrivals mutate the placement mid-trial, so HeteroArrival needs the
 	// churn (mutable slab) layout even with churn itself off.
-	if w.cfg.Churn != ChurnNone || w.cfg.Hetero == HeteroArrival {
-		placer.EnableChurn()
+	r.init(w, w.cfg.Churn != ChurnNone || w.cfg.Hetero == HeteroArrival)
+	switch w.cfg.Metrics {
+	case MetricsLinks:
+		r.links = routing.NewLinkLoads(w.g)
+	case MetricsStreaming:
+		r.hopAcc = stats.NewAccumulator(w.g.Diameter())
+		r.loadAcc = stats.NewAccumulator(w.loadBound)
+		if w.cfg.Workers > 0 {
+			r.granAcc = stats.NewAccumulator(w.g.Diameter())
+		}
+		if w.g.N() <= LinkSketchMaxN {
+			r.links64 = stats.NewSpaceSaving(LinkSketchCap)
+			r.linkBuf = make([]uint64, 0, w.g.Diameter()+1)
+		}
 	}
-	if w.cfg.Churn != ChurnNone {
-		r.churnSt.init(w)
-		// Churn must not target vacant nodes: a not-yet-arrived node has
-		// no cache to receive migrated replicas.
-		r.churnSt.vacant = r.heteroSt.vacant
-	}
-	if w.cfg.Faults != FaultsNone {
-		r.live = cache.NewLiveness(w.g.N())
-		if w.tiling != nil {
-			// Share the index tiling so the tile walks can skip fully dead
-			// tiles through the per-tile live counts.
-			r.live.BindTiling(w.tiling)
+	if p := w.cfg.Workers; p > 0 {
+		r.shards = make([]shardState, p)
+		r.startCh = make([]chan struct{}, p)
+		for s := 1; s < p; s++ {
+			r.startCh[s] = make(chan struct{}, 1)
+		}
+		if w.cfg.Shard == ShardRacy {
+			r.atomicLoads = ballsbins.NewAtomicLoads(w.g.N())
 		}
 	}
 	return r
-}
-
-// strategy returns the per-runner strategy instance bound to p, rebinding
-// the existing instance when the strategy supports it (all built-ins do).
-func (r *Runner) strategy(p *cache.Placement) core.Strategy {
-	if r.strat == nil {
-		r.strat = buildStrategy(r.w.cfg, r.w.g, p)
-		return r.strat
-	}
-	if rb, ok := r.strat.(core.Rebindable); ok {
-		rb.Rebind(p)
-		return r.strat
-	}
-	return buildStrategy(r.w.cfg, r.w.g, p)
-}
-
-// fileSampler returns the request-stream file distribution for this
-// trial's placement under the configured miss policy. The conditioned
-// MissResample stream is rebuilt into the runner's arenas (weights +
-// CustomBuilder), so reconditioning allocates nothing after the first
-// trial while sampling bit-identically to a fresh dist.NewCustom.
-func (r *Runner) fileSampler(p *cache.Placement) dist.Popularity {
-	w := r.w
-	if w.cfg.MissPolicy != MissResample || p.UncachedCount() == 0 {
-		return w.pop
-	}
-	// Condition the stream on files cached somewhere in the network.
-	if r.weights == nil {
-		r.weights = make([]float64, w.cfg.K)
-		r.cond = dist.NewCustomBuilder(w.cfg.K)
-	} else {
-		clear(r.weights)
-	}
-	for _, j := range p.CachedFiles() {
-		r.weights[j] = w.pop.P(int(j))
-	}
-	return r.cond.Build(r.weights, w.condName)
-}
-
-// acct carries the scalar trial accumulators between account passes.
-type acct struct {
-	hops      float64
-	escalated int
-	backhaul  int
-	retried   int
 }
 
 // RunTrial executes one independent trial. Identical (cfg, t) pairs
 // produce identical results; the reused scratch never leaks state between
 // trials (pinned by the cross-implementation golden tests).
 func (r *Runner) RunTrial(t uint64) Result {
-	if r.w.cfg.Workers > 0 {
-		return r.runTrialSharded(t)
-	}
 	w := r.w
-	// The hetero stream (namespace 8) is derived only for non-none modes;
-	// it installs the trial's capacity/vacancy vectors ahead of Place and
-	// stays live for the arrival schedule under HeteroArrival.
-	arrivalRNG := r.armHetero(t)
-	placement := r.placer.Place(w.placeProfile, w.cfg.PlacementMode, r.place.stream(w.placeSrc, t))
-	strat := r.strategy(placement)
-	fileSampler := r.fileSampler(placement)
-
 	n := w.g.N()
+	r.arm(t)
+	if r.shards == nil {
+		r.strat = r.bind(r.strat)
+	}
+	for s := range r.shards {
+		r.shards[s].strat = r.bind(r.shards[s].strat)
+		r.shards[s].maxSeen = 0
+	}
 	r.loads.Reset()
-	r.loadView = r.wrapView(r.loads)
-	res := Result{Requests: w.nReq, Uncached: placement.UncachedCount()}
-	var links *routing.LinkLoads
-	var hopAcc *stats.Accumulator
-	switch w.metrics {
-	case MetricsLinks:
-		if r.links == nil {
-			r.links = routing.NewLinkLoads(w.g)
-		} else {
-			r.links.Reset()
-		}
-		links = r.links
-	case MetricsStreaming:
-		if r.hopAcc == nil {
-			r.hopAcc = stats.NewAccumulator(w.g.Diameter())
-			r.loadAcc = stats.NewAccumulator(w.loadBound)
-			if n <= LinkSketchMaxN {
-				r.links64 = stats.NewSpaceSaving(LinkSketchCap)
-				r.linkBuf = make([]uint64, 0, w.g.Diameter()+1)
-			}
-		}
+	var raw core.LoadReader = r.loads
+	if r.atomicLoads != nil {
+		r.atomicLoads.Reset()
+		raw = r.atomicLoads
+	}
+	r.view = raw
+	if r.heteroSt.mults != nil {
+		r.weighted.Bind(raw, r.heteroSt.mults)
+		r.view = &r.weighted
+	}
+	if r.links != nil {
+		r.links.Reset()
+	}
+	if r.hopAcc != nil {
 		r.hopAcc.Reset()
 		r.loadAcc.Reset()
 		if r.links64 != nil {
 			r.links64.Reset()
 		}
-		hopAcc = r.hopAcc
 	}
 
-	// The churn stream is derived (and consumed) only for non-none churn,
-	// so ChurnNone trials remain bit-identical to the pre-churn engine.
-	var churnRNG *rand.Rand
-	if w.cfg.Churn != ChurnNone {
-		churnRNG = r.churn.stream(w.churnSrc, t)
-		r.churnSt.reset()
-	}
-	// Likewise the fault stream (namespace 7): FaultsNone never derives
-	// it, never binds a mask, and stays bit-identical to the fault-free
-	// engine (pinned by the golden matrices).
-	faultRNG := r.armFaults(strat, t)
-
-	var a acct
 	chunk := len(r.origins)
-	switch w.cfg.Streams {
-	case StreamsInterleaved:
-		reqRNG := r.req.stream(w.reqSrc, t)
-		for base := 0; base < w.nReq; base += chunk {
-			c := min(chunk, w.nReq-base)
-			r.generateAssign(strat, fileSampler, reqRNG, c)
-			r.account(c, &a, links, hopAcc)
-			if base+c < w.nReq {
-				if arrivalRNG != nil {
-					r.arrivalChunk(arrivalRNG, c, &res)
-				}
-				if faultRNG != nil {
-					r.faultChunk(faultRNG, c, &res)
-				}
-				if churnRNG != nil {
-					r.churnChunk(placement, churnRNG, c, &res)
-				}
-			}
+	var reqRNG, originRNG, fileRNG, assignRNG *rand.Rand
+	switch {
+	case r.shards != nil:
+		r.shardT = t
+		nChunks := (w.nReq + chunk - 1) / chunk
+		for s := 1; s < len(r.shards); s++ {
+			go r.shardWorker(s, nChunks)
 		}
-	case StreamsSplit:
-		originRNG := r.origin.stream(w.originSrc, t)
-		fileRNG := r.file.stream(w.fileSrc, t)
-		assignRNG := r.assign.stream(w.assignSrc, t)
-		for base := 0; base < w.nReq; base += chunk {
-			c := min(chunk, w.nReq-base)
-			dist.RequestBatch(originRNG, fileRNG, n, fileSampler, r.origins[:c], r.files[:c])
-			r.assignChunk(strat, assignRNG, c)
-			r.account(c, &a, links, hopAcc)
-			if base+c < w.nReq {
-				if arrivalRNG != nil {
-					r.arrivalChunk(arrivalRNG, c, &res)
-				}
-				if faultRNG != nil {
-					r.faultChunk(faultRNG, c, &res)
-				}
-				if churnRNG != nil {
-					r.churnChunk(placement, churnRNG, c, &res)
-				}
-			}
+	case w.cfg.Streams == StreamsInterleaved:
+		reqRNG = r.req.stream(w.reqSrc, t)
+	default:
+		originRNG = r.origin.stream(w.originSrc, t)
+		fileRNG = r.file.stream(w.fileSrc, t)
+		assignRNG = r.assign.stream(w.assignSrc, t)
+	}
+
+	res := Result{Requests: w.nReq, Uncached: r.p.UncachedCount()}
+	var hops int64
+	for base := 0; base < w.nReq; base += chunk {
+		c := min(chunk, w.nReq-base)
+		switch {
+		case r.shards != nil:
+			r.fillSharded(base, c)
+		case reqRNG != nil:
+			r.generateAssign(reqRNG, c)
+		default:
+			dist.RequestBatch(originRNG, fileRNG, n, r.pop, r.origins[:c], r.files[:c])
+			r.assignChunk(assignRNG, c)
+		}
+		hops += r.account(c, &res)
+		// After the final chunk no request would observe a mutation.
+		if base+c < w.nReq {
+			r.advance(c, r.nodeLoad, &res)
 		}
 	}
 
-	res.Escalated, res.Backhaul, res.Retried = a.escalated, a.backhaul, a.retried
-	r.finishHetero(&res)
-	r.finishFaults(&res)
-	if links != nil {
-		res.MaxLinkLoad = links.Max()
-		res.LinkCongestion = links.CongestionFactor()
+	if w.nReq > 0 {
+		res.MeanCost = float64(hops) / float64(w.nReq)
 	}
 	res.MaxLoad = r.loads.Max()
-	if w.nReq > 0 {
-		res.MeanCost = a.hops / float64(w.nReq)
+	for s := range r.shards {
+		// ShardRacy writes only the atomic vector; its maximum is the
+		// largest value any worker's Add returned.
+		res.MaxLoad = max(res.MaxLoad, r.shards[s].maxSeen)
 	}
-	if hopAcc != nil {
+	if r.heteroSt.vacant != nil {
+		res.Vacant = len(r.heteroSt.vacantList)
+	}
+	if r.live != nil {
+		// Availability is the fraction of requests the cache network
+		// itself served: everything that did not fall through to backhaul.
+		res.Faulted = true
+		res.DeadNodes = r.live.DeadCount()
+		if w.nReq > 0 {
+			res.Availability = float64(w.nReq-res.Backhaul) / float64(w.nReq)
+		}
+	}
+	if r.links != nil {
+		res.MaxLinkLoad = r.links.Max()
+		res.LinkCongestion = r.links.CongestionFactor()
+	}
+	if r.hopAcc != nil {
 		for u := 0; u < n; u++ {
-			r.loadAcc.Observe(r.loads.Load(u))
+			r.loadAcc.Observe(r.nodeLoad(int32(u)))
 		}
 		res.Streamed = true
-		res.HopMax = hopAcc.Max()
-		res.HopStd = hopAcc.Std()
+		res.HopMax = r.hopAcc.Max()
+		res.HopStd = r.hopAcc.Std()
 		res.LoadP99 = r.loadAcc.Quantile(0.99)
 		if r.links64 != nil {
 			res.LinkMaxApprox = r.links64.MaxCount()
@@ -569,29 +489,39 @@ func (r *Runner) RunTrial(t uint64) Result {
 	return res
 }
 
-// generateAssign is the fused generate+assign phase of the interleaved
-// discipline: ids and strategy draws share one stream, consumed per
-// request in the exact pre-pipeline order (origin, file, then the
-// strategy's own draws).
-func (r *Runner) generateAssign(strat core.Strategy, pop dist.Popularity, rng *rand.Rand, c int) {
-	n := r.w.g.N()
+// nodeLoad reads node u's raw load: the base vector everywhere except
+// racy sharded trials, whose loads accumulate in the shared atomic
+// vector instead.
+func (r *Runner) nodeLoad(u int32) int {
+	if r.atomicLoads != nil {
+		return r.atomicLoads.Load(int(u))
+	}
+	return r.loads.Load(int(u))
+}
+
+// generateAssign is the interleaved fill: ids and strategy draws share
+// one stream, consumed per request in the exact pre-pipeline order
+// (origin, file, then the strategy's own draws).
+func (r *Runner) generateAssign(rng *rand.Rand, c int) {
+	n, strat, pop, view := r.w.g.N(), r.strat, r.pop, r.view
 	for i := 0; i < c; i++ {
 		req := core.Request{
 			Origin: int32(rng.IntN(n)),
 			File:   int32(pop.Sample(rng)),
 		}
 		r.origins[i] = req.Origin
-		r.record(i, strat.Assign(req, r.loadView, rng))
+		r.record(i, strat.Assign(req, view, rng))
 	}
 }
 
-// assignChunk is the assign phase of the split discipline: it consumes the
+// assignChunk is the assign half of the split fill: it consumes the
 // pre-generated chunk ids, running the strategy against the dedicated
 // assignment stream.
-func (r *Runner) assignChunk(strat core.Strategy, rng *rand.Rand, c int) {
+func (r *Runner) assignChunk(rng *rand.Rand, c int) {
+	strat, view := r.strat, r.view
 	for i := 0; i < c; i++ {
 		req := core.Request{Origin: r.origins[i], File: r.files[i]}
-		r.record(i, strat.Assign(req, r.loadView, rng))
+		r.record(i, strat.Assign(req, view, rng))
 	}
 }
 
@@ -601,6 +531,11 @@ func (r *Runner) record(i int, a core.Assignment) {
 	r.loads.Add(int(a.Server))
 	r.servers[i] = a.Server
 	r.hops[i] = a.Hops
+	r.flags[i] = flagsOf(a)
+}
+
+// flagsOf packs an assignment's degradation flags into a request record.
+func flagsOf(a core.Assignment) uint8 {
 	var f uint8
 	if a.Escalated {
 		f |= flagEscalated
@@ -611,50 +546,66 @@ func (r *Runner) record(i int, a core.Assignment) {
 	if a.Retried {
 		f |= flagRetried
 	}
-	r.flags[i] = f
+	return f
 }
 
-// account folds one chunk of request records into the trial accumulators.
-// It never touches the RNG streams, so deferring it out of the assign loop
-// is invisible to the draw order. The hop sum adds in request order,
-// keeping MeanCost bit-identical to the pre-pipeline per-request fold.
-func (r *Runner) account(c int, a *acct, links *routing.LinkLoads, hopAcc *stats.Accumulator) {
+// account folds one chunk of request records into the trial accumulators
+// and returns the chunk's hop total. It never touches the RNG streams,
+// so deferring it out of the assign loop is invisible to the draw order.
+// Hops sum exactly in int64, so MeanCost does not depend on how the
+// trial is cut into chunks or shards.
+func (r *Runner) account(c int, res *Result) int64 {
+	var hops int64
 	for i := 0; i < c; i++ {
-		a.hops += float64(r.hops[i])
+		hops += int64(r.hops[i])
 		f := r.flags[i]
 		if f&flagEscalated != 0 {
-			a.escalated++
+			res.Escalated++
 		}
 		if f&flagBackhaul != 0 {
-			a.backhaul++
+			res.Backhaul++
 		}
 		if f&flagRetried != 0 {
-			a.retried++
+			res.Retried++
 		}
 	}
-	if links != nil {
+	if r.links != nil {
 		for i := 0; i < c; i++ {
-			links.Route(int(r.origins[i]), int(r.servers[i]))
+			r.links.Route(int(r.origins[i]), int(r.servers[i]))
 		}
 	}
-	if hopAcc != nil {
+	if r.hopAcc == nil {
+		return hops
+	}
+	if r.granAcc == nil {
 		for i := 0; i < c; i++ {
-			hopAcc.Observe(int(r.hops[i]))
+			r.hopAcc.Observe(int(r.hops[i]))
 		}
-		if r.links64 != nil {
-			// Recover per-link traffic without the O(n) link vector:
-			// replay each delivery's XY route into the heavy-hitter
-			// sketch.
-			g := r.w.g
-			for i := 0; i < c; i++ {
-				if r.hops[i] == 0 {
-					continue
-				}
-				r.linkBuf = routing.AppendLinks(g, int(r.origins[i]), int(r.servers[i]), r.linkBuf[:0])
-				for _, id := range r.linkBuf {
-					r.links64.Observe(id)
-				}
+	} else {
+		// The sharded process folds hop moments per 64-request granule
+		// through Merge, in granule order. A Welford merge is not
+		// bit-identical to sequential Observe, and the parallel golden
+		// pins freeze HopStd.
+		for lo := 0; lo < c; lo += shardGranule {
+			r.granAcc.Reset()
+			for i := lo; i < min(lo+shardGranule, c); i++ {
+				r.granAcc.Observe(int(r.hops[i]))
+			}
+			r.hopAcc.Merge(r.granAcc)
+		}
+	}
+	if r.links64 != nil {
+		// Recover per-link traffic without the O(n) link vector: replay
+		// each delivery's XY route into the heavy-hitter sketch.
+		for i := 0; i < c; i++ {
+			if r.hops[i] == 0 {
+				continue
+			}
+			r.linkBuf = routing.AppendLinks(r.w.g, int(r.origins[i]), int(r.servers[i]), r.linkBuf[:0])
+			for _, id := range r.linkBuf {
+				r.links64.Observe(id)
 			}
 		}
 	}
+	return hops
 }

@@ -151,7 +151,9 @@ func (p PointSpec) Config(seed uint64) (sim.Config, error) {
 		Workers: p.Workers, Shard: sh, Chunk: p.Chunk,
 		Seed: seed,
 	}
-	if p.Gamma > 0 {
+	// Any non-zero exponent selects Zipf, so a negative one fails
+	// validation below instead of silently meaning uniform.
+	if p.Gamma != 0 {
 		cfg.Popularity = sim.PopSpec{Kind: sim.PopZipf, Gamma: p.Gamma}
 	}
 	switch p.Strategy {

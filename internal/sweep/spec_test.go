@@ -1,8 +1,11 @@
 package sweep
 
 import (
+	"math"
 	"strings"
 	"testing"
+
+	"repro/internal/sim"
 )
 
 // specJSON is the canonical small test spec: 2×2 grid, 6 trials in 3
@@ -109,9 +112,38 @@ func TestParseSpecRejects(t *testing.T) {
 		"frac int":       `{"trials":1,"base":{"side":5,"k":10,"m":1},"axes":[{"field":"m","values":[1.5]}]}`,
 		"bad strategy":   `{"trials":1,"base":{"side":5,"k":10,"m":1,"strategy":"wat"}}`,
 		"engine invalid": `{"trials":1,"base":{"side":5,"k":10,"m":1,"workers":3,"chunk":7}}`,
+		"neg gamma":      `{"trials":1,"base":{"side":5,"k":10,"m":1,"gamma":-1}}`,
+		"neg gamma axis": `{"trials":1,"base":{"side":5,"k":10,"m":1},"axes":[{"field":"gamma","values":[0.8,-0.5]}]}`,
 	} {
 		if _, err := ParseSpec([]byte(src)); err == nil {
 			t.Errorf("%s: accepted", name)
+		}
+	}
+}
+
+// TestPointGamma checks the point→config mapping of the Zipf exponent:
+// any non-zero value selects Zipf, so the values JSON cannot carry
+// (NaN, ±Inf) fail validation like negative ones instead of silently
+// meaning uniform popularity.
+func TestPointGamma(t *testing.T) {
+	for _, tc := range []struct {
+		gamma float64
+		kind  sim.PopKind
+		ok    bool
+	}{
+		{0, sim.PopUniform, true},
+		{1.2, sim.PopZipf, true},
+		{-1, sim.PopZipf, false},
+		{math.NaN(), sim.PopZipf, false},
+		{math.Inf(1), sim.PopZipf, false},
+	} {
+		p := PointSpec{Side: 5, K: 10, M: 1, Gamma: tc.gamma}
+		cfg, err := p.Config(1)
+		if (err == nil) != tc.ok {
+			t.Errorf("gamma %v: Config error %v, want ok=%v", tc.gamma, err, tc.ok)
+		}
+		if cfg.Popularity.Kind != tc.kind {
+			t.Errorf("gamma %v: popularity %+v, want kind %v", tc.gamma, cfg.Popularity, tc.kind)
 		}
 	}
 }
