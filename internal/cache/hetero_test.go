@@ -1,6 +1,7 @@
 package cache
 
 import (
+	"fmt"
 	"math/rand/v2"
 	"slices"
 	"testing"
@@ -334,4 +335,221 @@ func TestHeteroArriveNodePanics(t *testing.T) {
 		t.Fatal("placement left every node empty")
 	}
 	mustPanic(t, "non-vacant node", func() { het.ArriveNode(occupied, pop, WithReplacement, r) })
+}
+
+// placementViews is everything a reader of a placement and its tile
+// index can observe, deep-copied so a later rebuild cannot alias it.
+// Dense files' tile-major segments are build scratch, not views, and
+// are left out.
+type placementViews struct {
+	replicas        [][]int32
+	cached          []int32
+	uncached, slots int
+	segs            [][]int32 // tile-major S_j of sparse files
+	tiles, starts   [][]int32
+	segEnd          []int32
+	bits            [][]uint64
+	dirCap          []int32
+}
+
+func capturePlacementViews(p *Placement) placementViews {
+	k := p.K()
+	v := placementViews{
+		replicas: make([][]int32, k),
+		cached:   slices.Clone(p.CachedFiles()),
+		uncached: p.UncachedCount(),
+		slots:    p.ReplicaSlots(),
+	}
+	for j := 0; j < k; j++ {
+		v.replicas[j] = slices.Clone(p.Replicas(j))
+	}
+	ix := p.TileIndex()
+	if ix == nil {
+		return v
+	}
+	v.segs = make([][]int32, k)
+	v.tiles, v.starts = make([][]int32, k), make([][]int32, k)
+	v.segEnd, v.dirCap = make([]int32, k), make([]int32, k)
+	v.bits = make([][]uint64, k)
+	for j := 0; j < k; j++ {
+		tiles, starts, segEnd := ix.FileRuns(j)
+		v.tiles[j], v.starts[j], v.segEnd[j] = slices.Clone(tiles), slices.Clone(starts), segEnd
+		v.bits[j] = slices.Clone(ix.FileBits(j))
+		if v.bits[j] == nil {
+			v.segs[j] = slices.Clone(ix.Replicas(j))
+		}
+		v.dirCap[j] = ix.dirOff[j+1] - ix.dirOff[j]
+	}
+	return v
+}
+
+// diffPlacementViews names the first view on which got and want differ,
+// or returns "" when they agree everywhere.
+func diffPlacementViews(got, want placementViews) string {
+	switch {
+	case !slices.Equal(got.cached, want.cached):
+		return fmt.Sprintf("CachedFiles %v, rebuild %v", got.cached, want.cached)
+	case got.uncached != want.uncached:
+		return fmt.Sprintf("UncachedCount %d, rebuild %d", got.uncached, want.uncached)
+	case got.slots != want.slots:
+		return fmt.Sprintf("ReplicaSlots %d, rebuild %d", got.slots, want.slots)
+	}
+	for j := range want.replicas {
+		if !slices.Equal(got.replicas[j], want.replicas[j]) {
+			return fmt.Sprintf("file %d: Replicas %v, rebuild %v", j, got.replicas[j], want.replicas[j])
+		}
+	}
+	for j := range want.segs {
+		switch {
+		case !slices.Equal(got.bits[j], want.bits[j]):
+			return fmt.Sprintf("file %d: FileBits %v, rebuild %v", j, got.bits[j], want.bits[j])
+		case !slices.Equal(got.segs[j], want.segs[j]):
+			return fmt.Sprintf("file %d: tile-major segment %v, rebuild %v", j, got.segs[j], want.segs[j])
+		case !slices.Equal(got.tiles[j], want.tiles[j]) || !slices.Equal(got.starts[j], want.starts[j]) || got.segEnd[j] != want.segEnd[j]:
+			return fmt.Sprintf("file %d: FileRuns (%v,%v,%d), rebuild (%v,%v,%d)", j,
+				got.tiles[j], got.starts[j], got.segEnd[j], want.tiles[j], want.starts[j], want.segEnd[j])
+		case got.dirCap[j] != want.dirCap[j]:
+			return fmt.Sprintf("file %d: directory capacity %d, rebuild %d", j, got.dirCap[j], want.dirCap[j])
+		}
+	}
+	return ""
+}
+
+// TestArriveNodeSpliceMatchesRebuild: after every node arrival, each
+// reader view of the placement and its tile index must equal what a
+// from-scratch buildReplicaIndex + buildTileIndex of the same placer
+// produces — replica segments, the cached set, tile runs, dense
+// bitmaps and the padded directory capacities. Churn splices run
+// between arrivals, so the arrival lands on spliced (not freshly
+// built) state. The cases cover first-time caching, sparse files
+// crossing the dense threshold, full-library without-replacement
+// joins, joins at both ends of the node range and joins into a tile
+// the file had no run in.
+func TestArriveNodeSpliceMatchesRebuild(t *testing.T) {
+	const side = 8
+	n := side * side
+	g := grid.New(side, grid.Torus)
+	var firstCache, crossed, fullLibrary, newRun, ends int
+	for _, tc := range []struct {
+		name     string
+		k, m     int
+		maxCap   int
+		pop      dist.Popularity
+		mode     Mode
+		tileSide int // 0: no tile index
+		caps     func(u int) int32
+	}{
+		{name: "zipf/plain/sparse-library", k: 400, m: 3, maxCap: 6, pop: dist.NewZipf(400, 1.2),
+			caps: func(u int) int32 { return int32(1 + u%6) }},
+		{name: "zipf/tiles/sparse-library", k: 400, m: 3, maxCap: 6, pop: dist.NewZipf(400, 1.2), tileSide: 2,
+			caps: func(u int) int32 { return int32(1 + u%6) }},
+		{name: "uniform/tiles/near-threshold", k: 30, m: 3, maxCap: 6, pop: dist.NewUniform(30), tileSide: 2,
+			caps: func(u int) int32 { return int32(1 + u%6) }},
+		{name: "uniform/coarse-tiles/capped-directory", k: 30, m: 3, maxCap: 6, pop: dist.NewUniform(30), tileSide: 4,
+			caps: func(u int) int32 { return int32(1 + u%6) }},
+		{name: "zipf/tiles/without-replacement-full-library", k: 16, m: 1, maxCap: 16, pop: dist.NewZipf(16, 0.8),
+			mode: WithoutReplacement, tileSide: 2,
+			caps: func(u int) int32 {
+				if u%21 == 0 {
+					return 16 // Cap(u) = K: the joiner caches the whole library
+				}
+				return int32(1 + u%2)
+			}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			r := rand.New(rand.NewPCG(0xA11, uint64(tc.k)))
+			pl := NewPlacer(n, tc.m, tc.k)
+			pl.EnableHetero(tc.maxCap)
+			var tl *grid.Tiling
+			if tc.tileSide > 0 {
+				tl = g.NewTiling(tc.tileSide)
+				pl.EnableTiles(tl)
+			}
+			pl.EnableChurn()
+			caps := make([]int32, n)
+			vacant := make([]bool, n)
+			for u := range caps {
+				caps[u] = tc.caps(u)
+				vacant[u] = u%3 == 0 || u == n-1
+			}
+			// Node 0 joins first and node n-1 second; the rest in a
+			// seeded order.
+			queue := []int32{0, int32(n - 1)}
+			for u := 1; u < n-1; u++ {
+				if vacant[u] {
+					queue = append(queue, int32(u))
+				}
+			}
+			r.Shuffle(len(queue)-2, func(a, b int) { queue[2+a], queue[2+b] = queue[2+b], queue[2+a] })
+			pl.SetHetero(caps, vacant)
+			p := pl.Place(tc.pop, tc.mode, r)
+
+			for _, u := range queue {
+				stormBatch(p, vacant, r, 25)
+				before := capturePlacementViews(p)
+				pl.ArriveNode(u, tc.pop, tc.mode, r)
+				vacant[u] = false
+				got := capturePlacementViews(p)
+				pl.buildReplicaIndex()
+				if tl != nil {
+					pl.buildTileIndex()
+				}
+				if d := diffPlacementViews(got, capturePlacementViews(p)); d != "" {
+					t.Fatalf("arrival of node %d: %s", u, d)
+				}
+
+				if u == 0 || u == int32(n-1) {
+					ends++
+				}
+				if tc.mode == WithoutReplacement && p.Cap(int(u)) >= tc.k {
+					fullLibrary++
+				}
+				for _, f := range p.NodeFiles(int(u)) {
+					if len(before.replicas[f]) == 0 {
+						firstCache++
+					}
+					if tl == nil || before.bits[f] != nil {
+						continue
+					}
+					if got.bits[f] != nil {
+						crossed++
+					} else if _, ok := slices.BinarySearch(before.tiles[f], tl.TileOf(u)); !ok {
+						newRun++
+					}
+				}
+			}
+			checkAgainstRebuild(t, p, tl)
+		})
+	}
+	if firstCache == 0 || crossed == 0 || fullLibrary == 0 || newRun == 0 || ends != 2*5 {
+		t.Fatalf("coverage too thin: firstCache=%d crossed=%d fullLibrary=%d newRun=%d ends=%d",
+			firstCache, crossed, fullLibrary, newRun, ends)
+	}
+}
+
+// stormBatch applies up to events random legal migrations or swaps,
+// never onto vacant nodes — the churn engine's event mix.
+func stormBatch(p *Placement, vacant []bool, r *rand.Rand, events int) {
+	n := p.N()
+	for e := 0; e < events; e++ {
+		if p.ReplicaSlots() == 0 {
+			return
+		}
+		j, u := p.SlotReplica(r.IntN(p.ReplicaSlots()))
+		v := int32(r.IntN(n))
+		if vacant[v] {
+			continue
+		}
+		if p.CanReplace(j, u, v) {
+			p.ReplaceReplica(j, u, v)
+			continue
+		}
+		if v == u || p.Has(int(v), j) || p.T(int(v)) == 0 {
+			continue
+		}
+		vFiles := p.NodeFiles(int(v))
+		if j2 := int(vFiles[r.IntN(len(vFiles))]); p.CanSwap(j, u, j2, v) {
+			p.SwapReplicas(j, u, j2, v)
+		}
+	}
 }
