@@ -174,9 +174,8 @@ func (p *Placement) SlotReplica(slot int) (file int, node int32) {
 
 // replaceReplica splices the tile index for the migration of file j's
 // replica from u to v. Dense files flip two bitmap bits; sparse files
-// rotate the tile-major segment and splice the capacity-padded
-// directory (remove u's run entry when it empties, insert v's when its
-// tile is new). O(|S_j| + directory entries), allocation-free.
+// remove u from its tile run and insert v into its own (see removeRun
+// and insertRun). O(|S_j| + directory entries), allocation-free.
 func (ix *TileIndex) replaceReplica(j int, u, v int32) {
 	if b := ix.bitOf[j]; b >= 0 {
 		words := ix.bitWords[int(b)*ix.wordsPer : (int(b)+1)*ix.wordsPer]
@@ -187,16 +186,22 @@ func (ix *TileIndex) replaceReplica(j int, u, v int32) {
 	if ix.dirLen == nil {
 		panic("cache: tile-index splice needs a churn-enabled build")
 	}
+	ix.removeRun(j, u)
+	ix.insertRun(j, v, ix.repOff[j+1]-1)
+}
+
+// removeRun takes node u out of sparse file j's tile-major segment:
+// the segment's valid data then ends one slot short, at repOff[j+1]-1,
+// and u's directory entry is dropped when its run empties.
+func (ix *TileIndex) removeRun(j int, u int32) {
 	s1 := ix.repOff[j+1]
-	dBase := int(ix.dirOff[j])
-	dn := int(ix.dirLen[j])
+	dBase, dn := int(ix.dirOff[j]), int(ix.dirLen[j])
 	dir := ix.dirTiles[dBase : dBase+dn]
 	starts := ix.dirStart[dBase : dBase+dn]
-	tu, tv := ix.tl.TileOf(u), ix.tl.TileOf(v)
 
-	// Remove u from its run. Runs are (tile, node)-sorted, so both the
-	// directory entry and the in-run position binary-search.
-	du, ok := slices.BinarySearch(dir, tu)
+	// Runs are (tile, node)-sorted, so both the directory entry and the
+	// in-run position binary-search.
+	du, ok := slices.BinarySearch(dir, ix.tl.TileOf(u))
 	if !ok {
 		panic("cache: tile-index splice: source tile has no run")
 	}
@@ -217,18 +222,27 @@ func (ix *TileIndex) replaceReplica(j int, u, v int32) {
 	if ru1-ru0 == 1 { // u was the run's only replica: drop the entry
 		copy(dir[du:], dir[du+1:])
 		copy(starts[du:], starts[du+1:])
-		dn--
 		ix.dirLen[j]--
 	}
-	dir, starts = dir[:dn], starts[:dn]
+}
 
-	// Insert v. The segment's valid data now ends at s1-1; the insertion
-	// restores the full |S_j| width.
+// insertRun puts node v into sparse file j's tile-major segment, whose
+// valid data ends at end with one free slot after it, and adds a
+// directory entry when v's tile has no run yet. The entry must fit the
+// file's padded capacity min(|S_j|, Tiles) (see buildMutableDirectory):
+// migrations keep |S_j| fixed, and Placer.ArriveNode — the one mutation
+// that grows it — widens the capacity before inserting, so a full
+// directory here means a caller grew the segment without re-padding.
+func (ix *TileIndex) insertRun(j int, v, end int32) {
+	dBase, dn := int(ix.dirOff[j]), int(ix.dirLen[j])
+	dir := ix.dirTiles[dBase : dBase+dn]
+	starts := ix.dirStart[dBase : dBase+dn]
+	tv := ix.tl.TileOf(v)
 	dv, ok := slices.BinarySearch(dir, tv)
 	var pvAbs int32
 	if ok {
 		rv0 := starts[dv]
-		rv1 := s1 - 1
+		rv1 := end
 		if dv+1 < dn {
 			rv1 = starts[dv+1]
 		}
@@ -236,15 +250,11 @@ func (ix *TileIndex) replaceReplica(j int, u, v int32) {
 		pvAbs = rv0 + int32(pv)
 	} else {
 		// New directory entry at dv; its run starts where the next run
-		// currently begins (or at the end of the valid data). The padded
-		// capacity min(|S_j| at build, Tiles) admits every reachable
-		// splice while |S_j| is invariant; a grown segment (node arrival)
-		// must rebuild instead — Placer.ArriveNode re-pads — so hitting
-		// the capacity here means a caller mutated a stale-capacity index.
+		// currently begins (or at the end of the valid data).
 		if int32(dn) >= ix.dirOff[j+1]-ix.dirOff[j] {
-			panic(fmt.Sprintf("cache: tile-index splice: file %d's directory is at capacity; a grown |S_j| needs a rebuild (Placer.ArriveNode)", j))
+			panic(fmt.Sprintf("cache: tile-index splice: file %d's directory is at capacity; |S_j| grew without a re-pad (only Placer.ArriveNode may grow it)", j))
 		}
-		pvAbs = s1 - 1
+		pvAbs = end
 		if dv < dn {
 			pvAbs = starts[dv]
 		}
@@ -257,7 +267,7 @@ func (ix *TileIndex) replaceReplica(j int, u, v int32) {
 		dn++
 		ix.dirLen[j]++
 	}
-	copy(ix.nodes[pvAbs+1:s1], ix.nodes[pvAbs:s1-1])
+	copy(ix.nodes[pvAbs+1:end+1], ix.nodes[pvAbs:end])
 	ix.nodes[pvAbs] = v
 	for i := dv + 1; i < dn; i++ {
 		starts[i]++

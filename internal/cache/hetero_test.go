@@ -2,6 +2,7 @@ package cache
 
 import (
 	"fmt"
+	"math"
 	"math/rand/v2"
 	"slices"
 	"testing"
@@ -552,4 +553,55 @@ func stormBatch(p *Placement, vacant []bool, r *rand.Rand, events int) {
 			p.SwapReplicas(j, u, j2, v)
 		}
 	}
+}
+
+// BenchmarkArriveNode measures one node join at the paper-dynamic
+// shape: n=4900, K=10⁴, M=10, power-law caps clamped to 8M, Zipf 1.2,
+// the churn layout with the 7×7-tile index the engine picks for r=8. A
+// quarter of the nodes start vacant and each op joins the next one;
+// after joinsPerArm joins (about one paper-dynamic trial's worth) the
+// vacancy is re-armed and the world re-placed off the clock, so every
+// measured join lands on an early-trial index.
+func BenchmarkArriveNode(b *testing.B) {
+	const side, m, k, joinsPerArm = 70, 10, 10000, 40
+	n := side * side
+	g := grid.New(side, grid.Torus)
+	pop := dist.NewZipf(k, 1.2)
+	r := rand.New(rand.NewPCG(13, 0xA77))
+	caps := make([]int32, n)
+	for u := range caps {
+		// Pareto(α=1.5, x_m=M/3), the engine's power-law profile.
+		mu := int(math.Round(float64(m) / 3 * math.Pow(1-r.Float64(), -1/1.5)))
+		caps[u] = int32(min(max(mu, 1), 8*m))
+	}
+	vacant := make([]bool, n)
+	var joiners []int32
+	for u := range vacant {
+		if r.IntN(4) == 0 {
+			joiners = append(joiners, int32(u))
+		}
+	}
+	pl := NewPlacer(n, m, k)
+	pl.EnableHetero(8 * m)
+	pl.EnableTiles(g.NewTiling(7))
+	pl.EnableChurn()
+	arm := func() {
+		for _, u := range joiners {
+			vacant[u] = true
+		}
+		pl.SetHetero(caps, vacant)
+		pl.Place(pop, WithReplacement, r)
+	}
+	arm()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if i > 0 && i%joinsPerArm == 0 {
+			b.StopTimer()
+			arm()
+			b.StartTimer()
+		}
+		pl.ArriveNode(joiners[i%joinsPerArm], pop, WithReplacement, r)
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N), "ns/join")
 }

@@ -240,3 +240,55 @@ func (pl *Placer) buildMutableDirectory() {
 		ix.dirLen[j] = ln
 	}
 }
+
+// crossesDense reports whether adding one replica to each listed file
+// lifts a sparse file to the dense threshold, the class change only
+// buildTileIndex lays out.
+func (ix *TileIndex) crossesDense(files []int32, thresh int32) bool {
+	for _, f := range files {
+		if ix.bitOf[f] < 0 && ix.repOff[f+1]-ix.repOff[f]+1 >= thresh {
+			return true
+		}
+	}
+	return false
+}
+
+// growDirectories re-pads the churn-layout directory for one more
+// replica in each listed file, before the CSR offsets move: a sparse
+// file's capacity min(|S_j|, Tiles) grows by one while |S_j| < Tiles.
+// A backward pass moves each block of directory entries right by the
+// capacity grown up to it, adds the block's CSR shift (the number of
+// listed files before it) to the run starts, and adds the capacity
+// shift to dirOff. The layout is exactly buildMutableDirectory's.
+func (ix *TileIndex) growDirectories(files []int32) {
+	maxTiles := int32(ix.tl.Tiles())
+	grows := func(f int32) bool { return ix.bitOf[f] < 0 && ix.repOff[f+1]-ix.repOff[f] < maxTiles }
+	grow := int32(0)
+	for _, f := range files {
+		if grows(f) {
+			grow++
+		}
+	}
+	k := int32(len(ix.dirOff) - 1)
+	hi := ix.dirOff[k]
+	ix.dirTiles = ix.dirTiles[:hi+grow]
+	ix.dirStart = ix.dirStart[:hi+grow]
+	last := k
+	for i := len(files) - 1; i >= 0; i-- {
+		f := files[i]
+		lo := ix.dirOff[f+1]
+		copy(ix.dirTiles[lo+grow:hi+grow], ix.dirTiles[lo:hi])
+		starts := ix.dirStart[lo+grow : hi+grow]
+		copy(starts, ix.dirStart[lo:hi])
+		for d := range starts {
+			starts[d] += int32(i + 1)
+		}
+		for j := f + 1; j <= last; j++ {
+			ix.dirOff[j] += grow
+		}
+		if grows(f) {
+			grow--
+		}
+		hi, last = lo, f
+	}
+}
