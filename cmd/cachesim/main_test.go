@@ -1,6 +1,7 @@
 package main
 
 import (
+	"flag"
 	"math"
 	"testing"
 
@@ -237,6 +238,15 @@ func TestBuildConfigHetero(t *testing.T) {
 	if _, err := repro.RunTrial(bad, 0); err == nil {
 		t.Error("arrivals with resampling miss policy ran")
 	}
+	// So must an infinite rate, which the float flag parses but whose
+	// event credit would never drain.
+	bad, err = buildConfig(10, "torus", 50, 2, 0, "nearest", -1, 2, 0, "escalate", "scalar", "split", "none", "none", 0, "none", 0, 0, "arrival", "two-tier", arrivalRateFlag(t, "inf"), 0, "deterministic", 16, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := repro.RunTrial(bad, 0); err == nil {
+		t.Error("infinite arrival rate ran")
+	}
 	// The hetero config must actually run and report arrival counters.
 	cfg.Requests = 3000
 	res, err := repro.RunTrial(cfg, 0)
@@ -246,4 +256,16 @@ func TestBuildConfigHetero(t *testing.T) {
 	if res.ArrivalEvents == 0 {
 		t.Errorf("no arrival events: %+v", res)
 	}
+}
+
+// arrivalRateFlag parses value the way cachesim's -arrival-rate flag
+// does.
+func arrivalRateFlag(t *testing.T, value string) float64 {
+	t.Helper()
+	fs := flag.NewFlagSet("cachesim", flag.ContinueOnError)
+	rate := fs.Float64("arrival-rate", 0, "")
+	if err := fs.Parse([]string{"-arrival-rate", value}); err != nil {
+		t.Fatal(err)
+	}
+	return *rate
 }

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"flag"
 	"math"
 	"testing"
 
@@ -42,11 +43,33 @@ func TestBuildConfig(t *testing.T) {
 			_, err := buildConfig(32, "torus", 100, 4, 0, "nearest", 6, 2, 0, "resample", "none", "sometimes", 0, "none", 0, 0, "none", "uniform", 0, 1)
 			return err
 		},
+		// An infinite arrival rate parses as a float flag but must fail
+		// when the world compiles: its event credit would never drain.
+		"arrival-rate inf": func() error {
+			cfg, err := buildConfig(32, "torus", 100, 4, 0, "nearest", 6, 2, 0, "escalate", "none", "none", 0, "none", 0, 0, "arrival", "two-tier", arrivalRateFlag(t, "inf"), 1)
+			if err != nil {
+				return err
+			}
+			_, err = repro.Compile(cfg)
+			return err
+		},
 	} {
 		if f() == nil {
 			t.Errorf("%s: bad value accepted", name)
 		}
 	}
+}
+
+// arrivalRateFlag parses value the way the daemon's -arrival-rate flag
+// does.
+func arrivalRateFlag(t *testing.T, value string) float64 {
+	t.Helper()
+	fs := flag.NewFlagSet("cachesimd", flag.ContinueOnError)
+	rate := fs.Float64("arrival-rate", 0, "")
+	if err := fs.Parse([]string{"-arrival-rate", value}); err != nil {
+		t.Fatal(err)
+	}
+	return *rate
 }
 
 // TestBuildConfigGamma checks that every non-zero -gamma selects Zipf,

@@ -117,9 +117,7 @@ func (pl *Placer) spliceArrival(u int32) {
 		if i+1 < len(files) {
 			next = files[i+1]
 		}
-		for j := f + 1; j <= next; j++ {
-			p.repOff[j] += int32(i + 1)
-		}
+		addAll(p.repOff[f+1:next+1], int32(i+1))
 	}
 
 	fresh := 0
@@ -162,6 +160,13 @@ func growSegments(arena, repOff, files []int32) {
 		lo := repOff[files[i]+1]
 		copy(arena[lo+int32(i+1):hi+int32(i+1)], arena[lo:hi])
 		hi = lo
+	}
+}
+
+// addAll adds d to every element of s.
+func addAll(s []int32, d int32) {
+	for i := range s {
+		s[i] += d
 	}
 }
 

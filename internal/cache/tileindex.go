@@ -278,13 +278,10 @@ func (ix *TileIndex) growDirectories(files []int32) {
 		f := files[i]
 		lo := ix.dirOff[f+1]
 		copy(ix.dirTiles[lo+grow:hi+grow], ix.dirTiles[lo:hi])
-		starts := ix.dirStart[lo+grow : hi+grow]
-		copy(starts, ix.dirStart[lo:hi])
-		for d := range starts {
-			starts[d] += int32(i + 1)
-		}
-		for j := f + 1; j <= last; j++ {
-			ix.dirOff[j] += grow
+		copy(ix.dirStart[lo+grow:hi+grow], ix.dirStart[lo:hi])
+		addAll(ix.dirStart[lo+grow:hi+grow], int32(i+1))
+		if grow > 0 {
+			addAll(ix.dirOff[f+1:last+1], grow)
 		}
 		if grows(f) {
 			grow--

@@ -558,6 +558,16 @@ func (c Config) validate() error {
 	if c.Churn < ChurnNone || c.Churn > ChurnDrift {
 		return fmt.Errorf("sim: unknown churn mode %d", int(c.Churn))
 	}
+	// The event schedules drain a credit of rate·requests one event at a
+	// time: NaN would silently switch a process off and +Inf never drains.
+	for _, rate := range [...]struct {
+		name string
+		v    float64
+	}{{"ChurnRate", c.ChurnRate}, {"FaultRate", c.FaultRate}, {"RecoverRate", c.RecoverRate}, {"ArrivalRate", c.ArrivalRate}} {
+		if math.IsNaN(rate.v) || math.IsInf(rate.v, 0) {
+			return fmt.Errorf("sim: %s must be finite, got %v", rate.name, rate.v)
+		}
+	}
 	if c.Churn != ChurnNone && c.ChurnRate <= 0 {
 		return fmt.Errorf("sim: churn mode %v needs a positive ChurnRate", c.Churn)
 	}

@@ -82,6 +82,66 @@ func TestValidatePopularity(t *testing.T) {
 	}
 }
 
+// TestValidateRates pins the event-rate checks: a NaN rate would
+// silently switch its process off and an infinite one would spin the
+// barrier's credit loop forever, so both must fail validation for every
+// rate, while finite rates keep their existing checks.
+func TestValidateRates(t *testing.T) {
+	nan, inf := math.NaN(), math.Inf(1)
+	churn := func(r float64) func(*Config) {
+		return func(c *Config) { c.Churn, c.ChurnRate = ChurnReplicas, r }
+	}
+	faults := func(r float64) func(*Config) {
+		return func(c *Config) {
+			c.Faults, c.FaultRate, c.MissPolicy = FaultsCrash, r, MissEscalate
+		}
+	}
+	recovery := func(r float64) func(*Config) {
+		return func(c *Config) {
+			c.Faults, c.FaultRate, c.RecoverRate, c.MissPolicy = FaultsCrash, 0.01, r, MissEscalate
+		}
+	}
+	arrival := func(r float64) func(*Config) {
+		return func(c *Config) {
+			c.Hetero, c.Profile, c.ArrivalRate, c.MissPolicy = HeteroArrival, ProfileTwoTier, r, MissEscalate
+		}
+	}
+	for _, tc := range []struct {
+		name string
+		set  func(*Config)
+		ok   bool
+	}{
+		{"churn finite", churn(0.5), true},
+		{"churn NaN", churn(nan), false},
+		{"churn +Inf", churn(inf), false},
+		{"churn -Inf", churn(-inf), false},
+		{"churn NaN without mode", func(c *Config) { c.ChurnRate = nan }, false},
+		{"faults finite", faults(0.01), true},
+		{"faults NaN", faults(nan), false},
+		{"faults +Inf", faults(inf), false},
+		{"faults -Inf", faults(-inf), false},
+		{"recover finite", recovery(0.005), true},
+		{"recover zero", recovery(0), true},
+		{"recover NaN", recovery(nan), false},
+		{"recover +Inf", recovery(inf), false},
+		{"arrival finite", arrival(0.01), true},
+		{"arrival NaN", arrival(nan), false},
+		{"arrival +Inf", arrival(inf), false},
+		{"arrival -Inf", arrival(-inf), false},
+		{"arrival NaN without mode", func(c *Config) { c.ArrivalRate = nan }, false},
+	} {
+		c := baseConfig()
+		tc.set(&c)
+		err := Validate(c)
+		if (err == nil) != tc.ok {
+			t.Errorf("%s: Validate = %v, want ok=%v", tc.name, err, tc.ok)
+		}
+		if _, cerr := Compile(c); (cerr == nil) != tc.ok {
+			t.Errorf("%s: Compile = %v, want ok=%v", tc.name, cerr, tc.ok)
+		}
+	}
+}
+
 func TestTrialDeterminism(t *testing.T) {
 	cfg := baseConfig()
 	cfg.Strategy = StrategySpec{Kind: TwoChoices, Radius: core.RadiusUnbounded}
