@@ -22,8 +22,10 @@ import "repro/internal/grid"
 // call on that Placer. On churn-enabled builds (Placer.EnableChurn) the
 // index is additionally maintained incrementally: every
 // Placement.ReplaceReplica splices the affected tile run, directory and
-// bitmap in place (see churn.go), so readers always observe a state
-// identical to a from-scratch rebuild of the mutated placement.
+// bitmap in place (see churn.go), and every Placer.ArriveNode splices
+// the joining node into its files' runs and re-pads their directories
+// (see hetero.go), so readers always observe a state identical to a
+// from-scratch rebuild of the mutated placement.
 type TileIndex struct {
 	tl       *grid.Tiling
 	repOff   []int32 // borrowed from the Placement (length k+1)
@@ -202,9 +204,10 @@ func (pl *Placer) buildTileIndex() {
 }
 
 // buildMutableDirectory lays the tile directory out with per-file
-// capacity min(|S_j|, Tiles) — the most entries file j can ever occupy,
-// since |S_j| is invariant under ReplaceReplica — so replaceReplica can
-// insert and remove entries by memmove inside the file's own span.
+// capacity min(|S_j|, Tiles) — the most entries file j can occupy while
+// |S_j| stays fixed, as it does under ReplaceReplica; ArriveNode grows
+// the capacity with the segment (growDirectories) — so replaceReplica
+// can insert and remove entries by memmove inside the file's own span.
 // Σ capacities ≤ Σ|S_j| keeps the padded layout inside the same arena
 // as the tight one. Actual lengths live in dirLen (see FileRuns).
 func (pl *Placer) buildMutableDirectory() {

@@ -235,9 +235,9 @@ func (hs *heteroState) arm(w *World, rng *rand.Rand) {
 // applyArrivals advances the arrival schedule past c served requests:
 // credit accrues at ArrivalRate events per request, and each whole
 // event picks a uniform still-vacant node, fills it via the placer
-// (rebuilding the replica and tile indexes in place) and revives it if
-// fault injection had crashed it. With no vacant nodes left the event
-// is burned as skipped, keeping the RNG schedule independent of how
+// (splicing it into the replica and tile indexes in place) and revives
+// it if fault injection had crashed it. With no vacant nodes left the
+// event is burned as skipped, keeping the RNG schedule independent of how
 // fast the network fills up. The barrier runs it before the fault and
 // churn engines (see trialState.advance).
 func (ts *trialState) applyArrivals(c int, res *Result) {

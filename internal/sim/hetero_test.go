@@ -136,8 +136,8 @@ func TestHeteroShardedWorkerInvariance(t *testing.T) {
 }
 
 // TestHeteroShardedRacyStress hammers the racy shared-load mode while
-// arrivals rebuild the placement and tile index and churn splices it at
-// every barrier — the worst-case interleaving surface for the race
+// arrivals and churn splice the placement and tile index at every
+// barrier — the worst-case interleaving surface for the race
 // detector tier (the weighted view binds before workers spawn and the
 // multiplier vector is read-only during a chunk; anything else would be
 // flagged here).
@@ -172,7 +172,7 @@ func TestHeteroShardedRacyStress(t *testing.T) {
 			t.Fatalf("t=%d: Requests = %d, want %d", trial, res.Requests, cfg.Requests)
 		}
 		if res.ArrivalEvents == 0 {
-			t.Fatalf("t=%d: no arrivals under the racy stress; rebuild path not exercised", trial)
+			t.Fatalf("t=%d: no arrivals under the racy stress; arrival path not exercised", trial)
 		}
 	}
 }
@@ -269,7 +269,7 @@ func TestHeteroWeightedTwoChoicesUniformity(t *testing.T) {
 
 // TestHeteroSteadyStateAllocs holds the heterogeneity regimes to the
 // engine's allocation-free bar: profile draws, weighted-view rebinds and
-// in-place arrival rebuilds must all run out of the arenas sized at
+// in-place arrival splices must all run out of the arenas sized at
 // compile time.
 func TestHeteroSteadyStateAllocs(t *testing.T) {
 	if raceEnabled {
@@ -306,7 +306,7 @@ func TestHeteroSteadyStateAllocs(t *testing.T) {
 		}
 		r := w.NewRunner()
 		if res := r.RunTrial(0); cfg.Hetero == HeteroArrival && res.ArrivalEvents == 0 {
-			t.Fatalf("%s: no arrivals; the rebuild path is not exercised", variant.name)
+			t.Fatalf("%s: no arrivals; the arrival path is not exercised", variant.name)
 		}
 		r.RunTrial(1) // second warm-up: buffers at steady-state size
 		trial := uint64(2)

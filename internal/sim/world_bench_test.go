@@ -175,12 +175,12 @@ func BenchmarkWideWorldTrialHetero(b *testing.B) {
 // BenchmarkWorldRunTrialHeteroArrival is the open-system regime at the
 // paper-scale point (compare BenchmarkWorldRunTrialChurn): ~25% of the
 // nodes start vacant and join at chunk barriers, and every join refills
-// the node's slots and rebuilds the replica index and tile index —
-// an O(n·M) rebuild per event, which is why this benchmark lives at
-// paper scale: at the wide-world point the per-join rebuild alone is
-// ~10⁷ entries and arrivals would dominate the trial by orders of
-// magnitude. MissEscalate handles requests whose in-radius candidates
-// are still vacant.
+// the node's slots and splices it into the replica index and tile
+// index — a memmove of the replica arenas, O(Σ|S_j|) words per event
+// (BenchmarkArriveNode in internal/cache times one join). The benchmark
+// lives at paper scale because at the wide-world point that is still
+// ~10⁷ words per join. MissEscalate handles requests whose in-radius
+// candidates are still vacant.
 func BenchmarkWorldRunTrialHeteroArrival(b *testing.B) {
 	cfg := paperScaleCfg()
 	cfg.Index = IndexTiles
