@@ -83,10 +83,10 @@ func TestHeteroDegenerateMatchesHomogeneous(t *testing.T) {
 // TestHeteroStormAgainstRebuild is the variable-stride extension of
 // TestReplaceReplicaStorm: over a mixed-capacity placement with vacant
 // nodes, random legal migration/swap batches interleave with node
-// arrivals (which rebuild the replica CSR and tile index in place), and
-// after every batch each incremental structure must be set-equal to a
-// from-scratch rebuild. This is the property contract that lets churn
-// and arrivals compose mid-trial.
+// arrivals (which splice the joiner into the replica CSR and tile index
+// in place), and after every batch each incremental structure must be
+// set-equal to a from-scratch rebuild. This is the property contract
+// that lets churn and arrivals compose mid-trial.
 func TestHeteroStormAgainstRebuild(t *testing.T) {
 	const side, m, k, maxCap = 8, 3, 60, 6
 	n := side * side
@@ -180,11 +180,11 @@ func TestHeteroStormAgainstRebuild(t *testing.T) {
 	}
 }
 
-// TestHeteroArriveNodeRepadsDirectory pins the rebuild half of the
-// grow-or-rebuild contract: an arrival grows |S_j| for every file the
-// joining node drew, and the rebuild must re-pad each sparse file's
-// tile-directory capacity to min(|S_j|, Tiles) — so post-arrival churn
-// splices have the headroom the capacity panic assumes.
+// TestHeteroArriveNodeRepadsDirectory pins the re-pad half of the
+// directory-capacity contract: an arrival grows |S_j| for every file the
+// joining node drew, and the arrival splice must re-pad each sparse
+// file's tile-directory capacity to min(|S_j|, Tiles) — so post-arrival
+// churn splices have the headroom the capacity panic assumes.
 func TestHeteroArriveNodeRepadsDirectory(t *testing.T) {
 	const side, m, k, maxCap = 8, 3, 60, 6
 	n := side * side
@@ -250,10 +250,10 @@ func TestHeteroArriveNodeRepadsDirectory(t *testing.T) {
 func vacantSkip(vacant []bool, v int32) bool { return vacant[v] }
 
 // TestHeteroTileDirectoryOverflowPanics pins the loud half of the
-// grow-or-rebuild contract: a splice that needs a directory entry beyond
-// the file's padded capacity — the state a grown |S_j| reaches when a
-// caller skips the ArriveNode rebuild — must panic rather than corrupt a
-// neighbouring file's directory. The test forges the stale-capacity
+// directory-capacity contract: a splice that needs a directory entry
+// beyond the file's padded capacity — the state a grown |S_j| reaches
+// when a caller skips the ArriveNode re-pad — must panic rather than
+// corrupt a neighbouring file's directory. The test forges the stale-capacity
 // state by clamping one file's capacity to its current length.
 func TestHeteroTileDirectoryOverflowPanics(t *testing.T) {
 	const side, m, k = 8, 3, 60

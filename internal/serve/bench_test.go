@@ -1,7 +1,12 @@
 package serve
 
 import (
+	"bytes"
+	"encoding/json"
+	"io"
 	"math/rand/v2"
+	"net/http"
+	"net/http/httptest"
 	"testing"
 
 	"repro/internal/sim"
@@ -130,6 +135,46 @@ func BenchmarkServePlaceStorm(b *testing.B) {
 			}
 		}
 	})
+	b.StopTimer()
+	dec := float64(b.N) * benchBatch
+	b.ReportMetric(dec/b.Elapsed().Seconds(), "decisions/s")
+}
+
+// BenchmarkServeHTTP is the served path over the wire: one keep-alive
+// client posts 256-pair batches through the real handler on a loopback
+// httptest.Server and reads every answer. allocs/op counts both ends of
+// the connection.
+func BenchmarkServeHTTP(b *testing.B) {
+	w, err := sim.Compile(benchConfig())
+	if err != nil {
+		b.Fatal(err)
+	}
+	e := New(w, 0)
+	defer e.Close()
+	srv := httptest.NewServer(NewServer(e))
+	defer srv.Close()
+	pairs := benchPairs(w, 1<<16)
+	bodies := make([][]byte, len(pairs)/benchBatch)
+	for i := range bodies {
+		if bodies[i], err = json.Marshal(PlaceRequest{Pairs: pairs[i*benchBatch : (i+1)*benchBatch]}); err != nil {
+			b.Fatal(err)
+		}
+	}
+	client, url := srv.Client(), srv.URL+"/v1/place"
+
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		resp, err := client.Post(url, "application/json", bytes.NewReader(bodies[i%len(bodies)]))
+		if err != nil {
+			b.Fatal(err)
+		}
+		_, err = io.Copy(io.Discard, resp.Body)
+		resp.Body.Close()
+		if err != nil || resp.StatusCode != http.StatusOK {
+			b.Fatalf("status %d, read error %v", resp.StatusCode, err)
+		}
+	}
 	b.StopTimer()
 	dec := float64(b.N) * benchBatch
 	b.ReportMetric(dec/b.Elapsed().Seconds(), "decisions/s")

@@ -1,12 +1,14 @@
 package serve
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"net/http"
 	"sync"
 	"time"
+	"unsafe"
 
 	"repro/internal/stats"
 )
@@ -18,15 +20,18 @@ const latencyBound = 100_000
 
 // Server is the HTTP front of an Engine: batched placement queries on
 // POST /v1/place, liveness on GET /healthz, and qps/latency/era
-// diagnostics on GET /metrics. Decision contexts are pooled per
-// request, so concurrent connections scale like the in-process engine.
+// diagnostics on GET /metrics. Decision contexts and request buffers
+// are pooled per request, so concurrent connections scale like the
+// in-process engine.
 type Server struct {
 	e     *Engine
 	mux   *http.ServeMux
 	start time.Time
 
+	bufs sync.Pool // *placeBuf
+
 	mu      sync.Mutex
-	lat     *stats.Accumulator // per-batch service latency, µs
+	lat     *stats.Accumulator // per-batch latency, body read to response write, µs
 	batches int64
 }
 
@@ -67,16 +72,45 @@ type PlaceResponse struct {
 // how stale a batch's pinned snapshot can get).
 const maxBatch = 1 << 16
 
-// maxPlaceBody caps the /v1/place request body before JSON decoding
-// starts: a full maxBatch of pairs is well under 4MB, so anything
-// larger is a hostile or broken client, answered 413 instead of being
-// buffered.
+// maxPlaceBody caps the /v1/place request body, which is read whole
+// before decoding starts: a full maxBatch of pairs is well under 4MB,
+// so anything larger is a hostile or broken client, answered 413.
 const maxPlaceBody = 4 << 20
 
+// maxPooled is the largest buffer, in bytes, a finished /v1/place
+// request returns to the pool. Larger ones (near-maxBatch batches,
+// hostile bodies) go to the collector, so one request cannot pin them.
+const maxPooled = 1 << 20
+
+// placeBuf is one /v1/place request's reusable memory: the body, the
+// decoded pairs, the decisions and the encoded response.
+type placeBuf struct {
+	body  bytes.Buffer
+	pairs []Pair
+	out   []Decision
+	resp  []byte
+}
+
+func (b *placeBuf) poolable() bool {
+	return b.body.Cap() <= maxPooled && cap(b.resp) <= maxPooled &&
+		cap(b.pairs)*int(unsafe.Sizeof(Pair{})) <= maxPooled &&
+		cap(b.out)*int(unsafe.Sizeof(Decision{})) <= maxPooled
+}
+
 func (s *Server) handlePlace(w http.ResponseWriter, r *http.Request) {
-	r.Body = http.MaxBytesReader(w, r.Body, maxPlaceBody)
-	var req PlaceRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+	t0 := time.Now()
+	b, _ := s.bufs.Get().(*placeBuf)
+	if b == nil {
+		b = new(placeBuf)
+	}
+	defer func() {
+		if b.poolable() {
+			s.bufs.Put(b)
+		}
+	}()
+
+	b.body.Reset()
+	if _, err := b.body.ReadFrom(http.MaxBytesReader(w, r.Body, maxPlaceBody)); err != nil {
 		var tooBig *http.MaxBytesError
 		if errors.As(err, &tooBig) {
 			http.Error(w, fmt.Sprintf("request body exceeds %d bytes", maxPlaceBody), http.StatusRequestEntityTooLarge)
@@ -85,37 +119,46 @@ func (s *Server) handlePlace(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "bad request: "+err.Error(), http.StatusBadRequest)
 		return
 	}
-	if len(req.Pairs) == 0 {
+	pairs, n, err := decodePlace(b.body.Bytes(), b.pairs[:0])
+	if err != nil {
+		http.Error(w, "bad request: "+err.Error(), http.StatusBadRequest)
+		return
+	}
+	b.pairs = pairs
+	if n == 0 {
 		http.Error(w, "bad request: empty batch", http.StatusBadRequest)
 		return
 	}
-	if len(req.Pairs) > maxBatch {
-		http.Error(w, fmt.Sprintf("bad request: batch %d exceeds limit %d", len(req.Pairs), maxBatch), http.StatusBadRequest)
+	if n > maxBatch {
+		http.Error(w, fmt.Sprintf("bad request: batch %d exceeds limit %d", n, maxBatch), http.StatusBadRequest)
 		return
 	}
-	n := s.e.World().N()
+	nodes := s.e.World().N()
 	k := s.e.World().Config().K
-	for i, p := range req.Pairs {
-		if p.User < 0 || int(p.User) >= n || p.File < 0 || int(p.File) >= k {
-			http.Error(w, fmt.Sprintf("bad request: pair %d (u=%d f=%d) out of range (n=%d K=%d)", i, p.User, p.File, n, k), http.StatusBadRequest)
+	for i, p := range pairs {
+		if p.User < 0 || int(p.User) >= nodes || p.File < 0 || int(p.File) >= k {
+			http.Error(w, fmt.Sprintf("bad request: pair %d (u=%d f=%d) out of range (n=%d K=%d)", i, p.User, p.File, nodes, k), http.StatusBadRequest)
 			return
 		}
 	}
 
-	t0 := time.Now()
+	if cap(b.out) < n {
+		b.out = make([]Decision, n)
+	}
+	resp := PlaceResponse{Decisions: b.out[:n]}
 	ctx := s.e.Get()
-	resp := PlaceResponse{Decisions: make([]Decision, len(req.Pairs))}
-	resp.Stamp = ctx.PlaceBatch(req.Pairs, resp.Decisions)
+	resp.Stamp = ctx.PlaceBatch(pairs, resp.Decisions)
 	s.e.Put(ctx)
-	el := time.Since(t0).Microseconds()
+	b.resp = appendPlaceResponse(b.resp[:0], &resp)
 
+	w.Header().Set("Content-Type", "application/json")
+	_, _ = w.Write(b.resp) // a failed write means the client has gone; nobody is left to tell
+
+	el := time.Since(t0).Microseconds()
 	s.mu.Lock()
 	s.lat.Observe(int(el))
 	s.batches++
 	s.mu.Unlock()
-
-	w.Header().Set("Content-Type", "application/json")
-	json.NewEncoder(w).Encode(&resp)
 }
 
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {

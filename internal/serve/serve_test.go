@@ -3,6 +3,7 @@ package serve
 import (
 	"bytes"
 	"encoding/json"
+	"io"
 	"math/rand/v2"
 	"net/http"
 	"net/http/httptest"
@@ -225,11 +226,18 @@ func TestServeHTTP(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("/v1/place status %d", resp.StatusCode)
 	}
-	var pr PlaceResponse
-	if err := json.NewDecoder(resp.Body).Decode(&pr); err != nil {
+	raw, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if err != nil {
 		t.Fatal(err)
 	}
-	resp.Body.Close()
+	if !json.Valid(raw) {
+		t.Fatalf("/v1/place answered invalid JSON: %q", raw)
+	}
+	var pr PlaceResponse
+	if err := json.Unmarshal(raw, &pr); err != nil {
+		t.Fatal(err)
+	}
 	if len(pr.Decisions) != 2 {
 		t.Fatalf("got %d decisions, want 2", len(pr.Decisions))
 	}
